@@ -65,7 +65,16 @@ class IntervalGen:
 
 
 def word_from_json(data):
-    """A CactusWord from its JSON form [[p, q], ...]."""
+    """A CactusWord from its JSON form [[p, q], ...].
+
+    Raises PolygonError unless ``data`` is a list of two-element lists of
+    integers (booleans and floats are rejected, not coerced).
+    """
+    if not isinstance(data, list) or not all(
+            isinstance(g, list) and len(g) == 2
+            and all(type(v) is int for v in g) for g in data):
+        raise PolygonError("a word must be a JSON list of [p, q] integer "
+                           "pairs, got %r" % (data,))
     return [IntervalGen(p, q) for p, q in data]
 
 

@@ -13,16 +13,15 @@ delta(idx): the determinant obtained by stacking, in vertex order, the first
 idx[k] rows of flag k, for each multi-index idx with sum m and at least two
 nonzero entries.  Equality of configurations is equality of all coordinates.
 
-The reversal maps (orthogonal_flag, iota, theta) use the calibrated
-sign/reversal convention from perp_constants; see calibrate.py for the
-search that produced it.
+The reversal maps (iota, theta) are built from the orthogonal flag
+J F^{-T} J of a representative F, where J is the antidiagonal matrix of
+ones; this one closed form serves every m.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from .rational import Mat, scalar, scalar_str, det
-from .perp_constants import PERP_CONVENTIONS
 
 
 class FlagError(ValueError):
@@ -142,36 +141,22 @@ class DecoratedFlag:
         return DecoratedFlag(self.rep.scale_row(self.m - 1, 1 / d))
 
     def orthogonal(self):
-        """The orthogonal flag under the calibrated convention.
+        """The orthogonal flag: J F^{-T} J, rescaled to det 1.
 
-        Prefix spans of the result are the B-orthocomplements of the input's
-        suffix spans; applying the map twice returns the same coset.
+        J, the antidiagonal matrix of ones, reverses the row order on the
+        left and the column order on the right.  Prefix spans of the result
+        are the orthocomplements of the input's suffix spans under the
+        bilinear form x J y^T; applying the map twice returns the same coset.
         """
-        m = self.m
-        try:
-            eps, q = PERP_CONVENTIONS[m]
-        except KeyError:
-            raise FlagError("no calibrated orthogonal convention for m = %d" % m)
-        return perp_with(self, eps, q)
+        rows = self.rep.inverse_transpose().entries
+        out = Mat([row[::-1] for row in reversed(rows)])
+        return DecoratedFlag(out, require_unimodular=False).unimodularize()
 
     def scale_rows(self, factors):
         return DecoratedFlag(
             Mat([[scalar(f) * x for x in row]
                  for f, row in zip(factors, self.rep.entries)]),
             require_unimodular=False)
-
-
-def perp_with(flag, eps, q):
-    """Signed row reversal of the inverse transpose, times a fixed symmetric Q.
-
-    This is the raw orthogonal map for one candidate convention; the shipped
-    constants are chosen by calibration.search_conventions.
-    """
-    m = flag.m
-    c = flag.rep.inverse_transpose()
-    rows = [[eps[i] * x for x in c.entries[m - 1 - i]] for i in range(m)]
-    out = Mat(rows) * Mat(q)
-    return DecoratedFlag(out, require_unimodular=False).unimodularize()
 
 
 class Configuration:
@@ -295,13 +280,6 @@ def sign_normalize(c):
     return Configuration(flags)
 
 
-def _normalize_if_possible(c):
-    try:
-        return sign_normalize(c)
-    except FlagError:
-        return c
-
-
 def relabel(c, perm):
     """New configuration whose flag at position i is the old flag perm[i].
 
@@ -314,20 +292,21 @@ def rotate(c):
     """Cyclic shift of a triangle; three applications give the identity."""
     if c.n != 3:
         raise FlagError("rotate needs a triangle configuration")
-    return _normalize_if_possible(relabel(c, (3, 1, 2)))
+    return sign_normalize(relabel(c, (3, 1, 2)))
 
 
 def rotate_inv(c):
     if c.n != 3:
         raise FlagError("rotate needs a triangle configuration")
-    return _normalize_if_possible(relabel(c, (2, 3, 1)))
+    return sign_normalize(relabel(c, (2, 3, 1)))
 
 
 def face(c, i):
     """The edge configuration obtained by forgetting flag i of a triangle.
 
     The remaining pair is kept in cyclic order starting after i, so that
-    face(rotate(c), i) = face(c, i-1 mod 3).
+    face(rotate(c), i) = face(c, i-1 mod 3).  The pair is sign-normalized;
+    a vanishing coordinate raises NotGenericError.
     """
     if c.n != 3:
         raise FlagError("face needs a triangle configuration")
@@ -335,7 +314,7 @@ def face(c, i):
         raise FlagError("face index must be 1, 2 or 3")
     a = i % 3 + 1
     b = a % 3 + 1
-    return _normalize_if_possible(Configuration([c.flags[a - 1], c.flags[b - 1]]))
+    return sign_normalize(Configuration([c.flags[a - 1], c.flags[b - 1]]))
 
 
 def iota(c):

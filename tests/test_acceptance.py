@@ -17,10 +17,10 @@ from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point)
 from totpos.cactus import verify_relations
 from totpos.axioms import check_axiom, check_glue
-from totpos.calibrate import search_conventions
-from totpos.perp_constants import PERP_CONVENTIONS
 
 from conftest import random_triangulation, run_totpos
+from test_calibration import (closed_form_convention, perp_with,
+                              search_conventions)
 from test_mutation import check_exchange_on
 
 
@@ -103,16 +103,19 @@ def test_criterion_5_pentagon_and_path_independence(capsys):
 def test_criterion_6_theta_suite(capsys):
     with verdict(capsys, 6, "reversal suite and calibration"):
         for m in (2, 3, 4):
+            # the first passer of the oracle search is the shipped closed form
+            first = next(search_conventions(m), None)
+            assert first == closed_form_convention(m)
             for trial in range(100):
                 c = random_positive(3, m, 6000 + 100 * m + trial)
+                for f in c.flags:
+                    assert f.orthogonal().rep == perp_with(f, *first).rep
                 tc = theta(c)
                 assert tc.is_positive()
                 assert theta(tc).same_point(c)
                 for i in (1, 2, 3):
                     assert face(tc, i).same_point(iota(face(c, 4 - i)))
                 assert theta(rotate(c)).same_point(rotate_inv(theta(c)))
-            passers = search_conventions(m)
-            assert passers and passers[0] == PERP_CONVENTIONS[m]
 
 
 def test_criterion_7_square_suite(capsys):

@@ -58,7 +58,7 @@ def test_full_triangle_generator_is_theta():
 
 
 def test_generator_is_involutive_and_positive():
-    for (n, m) in [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3)]:
+    for (n, m) in [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (4, 5)]:
         c = random_positive(n, m, 83 * n + m)
         for (p, q) in [(1, 2), (2, 3), (1, 3), (2, n), (n, 2)]:
             g = IntervalGen(p, q)

@@ -101,6 +101,23 @@ def test_usage_errors_exit_two():
     assert run_cli(["nonsense"])[0] == 2
 
 
+@pytest.mark.parametrize("word", ['[[1,2,3]]', '[[1]]', '"x"', '{"1":2}', '5',
+                                  '[[1.5,3]]', '[[true,3]]'])
+def test_malformed_word_exits_two(word):
+    _, cfg = run_cli(["gen", "5", "2", "--seed", "7"])
+    out = run_totpos(["act", "-", "--word", word], cfg)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
+def test_act_at_m5():
+    cfg = run_totpos(["gen", "5", "5", "--seed", "1"])
+    assert cfg.returncode == 0, cfg.stderr
+    acted = run_totpos(["act", "-", "--word", "[[1,3]]"], cfg.stdout)
+    assert acted.returncode == 0, acted.stderr
+
+
 def test_svg_output(tmp_path):
     _, cfg = run_cli(["gen", "5", "3", "--seed", "1"])
     svg = tmp_path / "chart.svg"

@@ -8,10 +8,11 @@ from totpos.rational import Mat, det
 from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
                           check_index, sign_normalize, relabel, rotate,
                           rotate_inv, face, iota, theta, FlagError,
-                          SignNormalizeError)
+                          NotGenericError, SignNormalizeError)
 from totpos.reconstruct import random_positive
 
 from conftest import det_oracle
+from test_calibration import antidiagonal
 
 
 def test_admissible_index_count():
@@ -105,7 +106,7 @@ def test_serialization_rejects_mismatched_header(v_config):
 
 
 def test_orthogonal_is_an_involution_on_cosets():
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         c = random_positive(3, m, 17 + m)
         for f in c.flags:
             assert f.orthogonal().orthogonal() == f
@@ -113,11 +114,9 @@ def test_orthogonal_is_an_involution_on_cosets():
 
 def test_orthogonal_exchanges_prefix_and_suffix_spans():
     # row i of the orthogonal representative is B-orthogonal to the first
-    # m-i rows of the input, for the bilinear form B realizing the pairing
-    from totpos.perp_constants import PERP_CONVENTIONS
-    for m in (2, 3):
-        eps, q = PERP_CONVENTIONS[m]
-        b = Mat(q).inverse()
+    # m-i rows of the input, for the antidiagonal form B = J
+    for m in (2, 3, 4, 5):
+        b = Mat(antidiagonal(m))
         c = random_positive(3, m, 23 + m)
         for f in c.flags:
             g = f.orthogonal()
@@ -205,6 +204,14 @@ def test_face_rotate_compatibility():
     for i in (2, 3):
         assert face(rotate(c), i).same_point(face(c, i - 1))
     assert face(rotate(c), 1).same_point(face(c, 3))
+
+
+def test_face_of_non_generic_triangle_raises():
+    # the face keeping flags 1 and 2 pairs F with itself: a vanishing
+    # coordinate, which no sign pattern can make positive
+    f, _, g = random_positive(3, 2, 67).flags
+    with pytest.raises(NotGenericError):
+        face(Configuration([f, f, g]), 3)
 
 
 def test_relabel_moves_supports():
