@@ -12,7 +12,7 @@ double reversal in the commuting-square identity reflects the square
 across its own diagonal with orthogonal flags.
 """
 
-from .flags import Configuration, sign_normalize, rotate, rotate_inv, face, iota, theta
+from .flags import Configuration, relabel, reverse, rotate, rotate_inv, face, iota, theta
 from .polygon import Triangulation, ChartPoint, chart_indices, glue_check
 from .mutation import flip_transport
 from .reconstruct import (flags_to_charts, charts_to_flags,
@@ -52,9 +52,7 @@ def double_reversal(p):
     orthogonal flags and one shared sign normalization."""
     d = tuple(sorted(next(iter(p.triangulation.diagonals))))
     perm = DIAGONAL_REFLECTIONS[d]
-    c = charts_to_flags(p)
-    flipped = sign_normalize(Configuration(
-        [c.flags[perm[i] - 1].orthogonal() for i in range(4)]))
+    flipped = reverse(relabel(charts_to_flags(p), perm[::-1]))
     return flags_to_charts(flipped, p.triangulation)
 
 

@@ -5,9 +5,10 @@ intervals [p..q].  On a positive configuration the generator acts by the
 sub-polygon reversal: the restriction of the point to the interval is
 reversed (each flag replaced by the orthogonal flag of the mirrored one,
 then sign-normalized to the positive chamber), the restriction to the
-complementary interval is kept, and the two halves are reassembled through
-a chart adapted to the interval.  The result is characterized by its two
-restrictions, so it does not depend on the adapted chart chosen here.
+complementary interval is kept, and the two halves meet on a chart adapted
+to the interval, from which the flags are rebuilt.  The result is
+characterized by its two restrictions and the rebuilt flags by the point
+alone, so neither depends on the adapted chart chosen here.
 
 Reversing a proper sub-interval directly at the flag level does not land
 in any sign-normalizable chamber; routing through the sub-polygon
@@ -20,10 +21,10 @@ each relation exactly, and reports counts plus the first counterexample.
 
 import random
 
-from .flags import Configuration, sign_normalize, SignNormalizeError
+from .flags import Configuration, reverse, SignNormalizeError
 from .polygon import (Triangulation, ChartPoint, chart_indices,
                       cyclic_interval, _is_boundary, PolygonError)
-from .reconstruct import charts_to_flags, flags_to_charts, random_positive
+from .reconstruct import charts_to_flags, random_positive
 
 
 class CactusError(ValueError):
@@ -98,12 +99,6 @@ def underlying_permutation(word, n):
     return tuple(perm)
 
 
-def _reverse_flags(flags):
-    """Full reversal of a flag tuple: orthogonal of the mirrored flag,
-    sign-normalized.  Well defined for full polygons of any size >= 2."""
-    return sign_normalize(Configuration([f.orthogonal() for f in reversed(flags)]))
-
-
 def _adapted_triangulation(n, iv):
     """A triangulation cutting along {p, q}: inside fan at q, outside fan
     at p."""
@@ -124,33 +119,26 @@ def act_generator(c, g):
     """Apply one interval reversal to a positive configuration.
 
     The interval's sub-polygon restriction is reversed as a standalone
-    configuration; coordinates supported inside the interval are read off
-    the reversed restriction, all others are kept, and the flags are
-    rebuilt from the canonical fan chart at vertex 1.
+    configuration.  The two halves meet on the adapted chart: coordinates
+    supported inside the interval are read off the reversed restriction,
+    all others are kept, and the flags are rebuilt from that chart point.
     """
     n, m = c.n, c.m
     iv = g.interval(n)
     try:
-        if len(iv) == n:
-            flags = [c.flags[g.mirror(v, n) - 1].orthogonal()
-                     for v in range(1, n + 1)]
-            out = sign_normalize(Configuration(flags))
-        else:
-            rev = _reverse_flags([c.flags[v - 1] for v in iv])
-            t = _adapted_triangulation(n, iv)
-            ivset = set(iv)
-            values = {}
-            for idx in chart_indices(t, m):
-                support = {k + 1 for k, x in enumerate(idx) if x}
-                if support <= ivset:
-                    values[idx] = rev.delta(tuple(idx[v - 1] for v in iv))
-                else:
-                    values[idx] = c.delta(idx)
-            out = charts_to_flags(ChartPoint(t, m, values))
+        rev = reverse(Configuration([c.flags[v - 1] for v in iv]))
     except SignNormalizeError as exc:
         raise CactusError("sign normalization failed at index %s" % (exc.index,), c)
-    # canonical gauge: rebuild from the fan chart at vertex 1
-    return charts_to_flags(flags_to_charts(out, Triangulation.fan(n)))
+    t = _adapted_triangulation(n, iv)
+    ivset = set(iv)
+    values = {}
+    for idx in chart_indices(t, m):
+        support = {k + 1 for k, x in enumerate(idx) if x}
+        if support <= ivset:
+            values[idx] = rev.delta(tuple(idx[v - 1] for v in iv))
+        else:
+            values[idx] = c.delta(idx)
+    return charts_to_flags(ChartPoint(t, m, values))
 
 
 def act_word(c, word):

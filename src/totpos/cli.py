@@ -220,6 +220,8 @@ def _cmd_act(args):
     except json.JSONDecodeError:
         word_data = _read_json(word_text)
     word = word_from_json(word_data)
+    if not isinstance(data, dict):
+        raise UsageError("act input must be a configuration or chart point object")
     if "flags" in data:
         _emit(act_word(_load_configuration(data), word).to_json())
     else:

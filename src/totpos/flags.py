@@ -13,9 +13,9 @@ delta(idx): the determinant obtained by stacking, in vertex order, the first
 idx[k] rows of flag k, for each multi-index idx with sum m and at least two
 nonzero entries.  Equality of configurations is equality of all coordinates.
 
-The reversal maps (iota, theta) are built from the orthogonal flag
-J F^{-T} J of a representative F, where J is the antidiagonal matrix of
-ones; this one closed form serves every m.
+The reversal map (reverse, with its edge and triangle cases iota and theta)
+is built from the orthogonal flag J F^{-T} J of a representative F, where J
+is the antidiagonal matrix of ones; this one closed form serves every m.
 """
 
 from fractions import Fraction
@@ -317,17 +317,22 @@ def face(c, i):
     return sign_normalize(Configuration([c.flags[a - 1], c.flags[b - 1]]))
 
 
+def reverse(c):
+    """The full reversal of a configuration: the orthogonal flags in reversed
+    order, sign-normalized.  Raises SignNormalizeError when no sign pattern
+    reaches the positive chamber."""
+    return sign_normalize(Configuration([f.orthogonal() for f in reversed(c.flags)]))
+
+
 def iota(c):
     """The involution of edge configurations: swap and take orthogonals."""
     if c.n != 2:
         raise FlagError("iota needs an edge configuration")
-    return sign_normalize(Configuration(
-        [c.flags[1].orthogonal(), c.flags[0].orthogonal()]))
+    return reverse(c)
 
 
 def theta(c):
     """The reversal involution of triangle configurations."""
     if c.n != 3:
         raise FlagError("theta needs a triangle configuration")
-    return sign_normalize(Configuration(
-        [c.flags[2].orthogonal(), c.flags[1].orthogonal(), c.flags[0].orthogonal()]))
+    return reverse(c)

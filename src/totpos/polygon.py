@@ -209,6 +209,8 @@ def chart_indices(t, m):
 
 def chart_dimension(n, m):
     """Closed-form count of chart coordinates."""
+    if n < 3 or m < 2:
+        raise PolygonError("need n >= 3 and m >= 2")
     return (n - 2) * (m + 1) * m // 2 + (m + 1) - n
 
 

@@ -87,7 +87,8 @@ def charts_to_flags(p):
     """Gauge-fixed configuration with the given positive chart coordinates.
 
     Exact round trip: flags_to_charts(charts_to_flags(p), p.triangulation)
-    returns p value for value.
+    returns p value for value.  The representatives depend only on the
+    point, so every chart of one point rebuilds the same flags.
     """
     t = p.triangulation
     n, m = t.n, p.m
@@ -180,6 +181,8 @@ def random_positive(n, m, seed, bound=20):
 
 def random_chart_point(t, m, seed, bound=20):
     """A reproducible random positive chart point on a triangulation."""
+    if bound < 1:
+        raise FlagError("need bound >= 1")
     rng = random.Random(seed)
     values = {idx: Fraction(rng.randint(1, bound), rng.randint(1, bound))
               for idx in chart_indices(t, m)}

@@ -1,12 +1,58 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totpos.flags import theta, iota, face, Configuration, sign_normalize, relabel
-from totpos.polygon import cyclic_interval, PolygonError
+from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
+                            cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
-                           verify_relations)
-from totpos.reconstruct import random_positive
+                           verify_relations, _adapted_triangulation)
+from totpos.reconstruct import random_positive, charts_to_flags, flags_to_charts
 import totpos.cactus as cactus_module
+
+
+def _act_generator_reference(c, g):
+    """The flag-level recipe act_generator replaced, kept as an oracle.
+
+    The full interval reverses every flag in place; a proper sub-interval
+    reassembles on the adapted chart and rebuilds flags from it.  Either
+    way the flags are read back to the fan chart and rebuilt once more.
+    """
+    n, m = c.n, c.m
+    iv = g.interval(n)
+    if len(iv) == n:
+        out = sign_normalize(Configuration(
+            [c.flags[g.mirror(v, n) - 1].orthogonal() for v in range(1, n + 1)]))
+    else:
+        rev = sign_normalize(Configuration(
+            [c.flags[v - 1].orthogonal() for v in reversed(iv)]))
+        t = _adapted_triangulation(n, iv)
+        values = {}
+        for idx in chart_indices(t, m):
+            if {k + 1 for k, x in enumerate(idx) if x} <= set(iv):
+                values[idx] = rev.delta(tuple(idx[v - 1] for v in iv))
+            else:
+                values[idx] = c.delta(idx)
+        out = charts_to_flags(ChartPoint(t, m, values))
+    return charts_to_flags(flags_to_charts(out, Triangulation.fan(n)))
+
+
+@st.composite
+def points_and_intervals(draw):
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(2, 4))
+    length = draw(st.integers(2, n))
+    p = draw(st.integers(1, n))
+    c = random_positive(n, m, draw(st.integers(0, 10 ** 6)))
+    return c, IntervalGen(p, (p + length - 2) % n + 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(points_and_intervals())
+def test_generator_matches_flag_level_reference(case):
+    c, g = case
+    assert ([f.rep for f in act_generator(c, g).flags]
+            == [f.rep for f in _act_generator_reference(c, g).flags])
 
 
 def test_interval_gen_validation():

@@ -111,6 +111,23 @@ def test_malformed_word_exits_two(word):
     assert "error" in json.loads(out.stderr)
 
 
+@pytest.mark.parametrize("data", ['5', 'null', 'true', '"x"'])
+def test_act_on_non_object_exits_two(data):
+    out = run_totpos(["act", "-", "--word", "[[1,2]]"], data)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
+@pytest.mark.parametrize("args", [["dim", "0", "-1"], ["dim", "2", "5"],
+                                  ["gen", "5", "2", "--bound", "0"]])
+def test_out_of_range_sizes_exit_two(args):
+    out = run_totpos(args)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
 def test_act_at_m5():
     cfg = run_totpos(["gen", "5", "5", "--seed", "1"])
     assert cfg.returncode == 0, cfg.stderr

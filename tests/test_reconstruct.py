@@ -32,6 +32,16 @@ def test_reconstruction_gauge_pins_first_flag():
     assert c.flags[0].rep == Mat.identity(3)
 
 
+def test_reconstruction_depends_only_on_the_point():
+    # every chart of one point rebuilds the same representatives, which is
+    # what lets act_generator rebuild straight from its adapted chart
+    for (n, m) in [(4, 2), (5, 3), (6, 3), (7, 4)]:
+        c = charts_to_flags(random_chart_point(Triangulation.fan(n), m, 53 * n + m))
+        for seed in range(3):
+            again = charts_to_flags(flags_to_charts(c, random_triangulation(n, seed)))
+            assert [f.rep for f in again.flags] == [f.rep for f in c.flags]
+
+
 def test_all_ones_triangle():
     t = Triangulation.fan(3)
     p = ChartPoint(t, 2, {idx: 1 for idx in chart_indices(t, 2)})
