@@ -27,11 +27,20 @@ class UsageError(ValueError):
 
 
 def _read_json(source):
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError("malformed JSON in %r: %s" % (source, exc))
+
+
+def _check_trials(trials):
+    if trials < 1:
+        raise UsageError("--trials must be at least 1, got %d" % trials)
 
 
 def _emit(obj):
@@ -232,6 +241,7 @@ def _cmd_act(args):
 
 
 def _cmd_verify_axioms(args):
+    _check_trials(args.trials)
     m = args.m
     if args.config is not None:
         m = _load_configuration(_read_json(args.config)).m
@@ -257,6 +267,7 @@ def _cmd_verify_axioms(args):
 
 
 def _cmd_verify_cactus(args):
+    _check_trials(args.trials)
     reports = verify_relations(args.n, args.m, args.trials, args.seed)
     _emit(reports)
     return 0 if all(r["passes"] == r["trials"] for r in reports) else 1

@@ -21,7 +21,7 @@ is the antidiagonal matrix of ones; this one closed form serves every m.
 from fractions import Fraction
 from itertools import combinations
 
-from .rational import Mat, scalar, scalar_str, det
+from .rational import Mat, scalar, scalar_str, _integer_clearing, _det_cleared
 
 
 class FlagError(ValueError):
@@ -66,20 +66,27 @@ def admissible_indices(n, m):
 
 
 def check_index(idx, n, m):
-    idx = tuple(int(x) for x in idx)
+    idx = tuple(map(int, idx))
     if len(idx) != n:
         raise FlagError("multi-index length %d != n = %d" % (len(idx), n))
-    if any(x < 0 for x in idx) or sum(idx) != m:
+    if min(idx, default=0) < 0 or sum(idx) != m:
         raise FlagError("multi-index %s does not sum to m = %d" % (idx, m))
-    if sum(1 for x in idx if x) < 2:
+    if n - idx.count(0) < 2:
         raise FlagError("multi-index %s needs at least two nonzero entries" % (idx,))
     return idx
 
 
 class DecoratedFlag:
-    """A complete flag of R^m with volume decorations, as an m x m matrix."""
+    """A complete flag of R^m with volume decorations, as an m x m matrix.
 
-    __slots__ = ("m", "rep")
+    The representative's rows are cleared to integers once, with the
+    prefix products of their scales; Configuration.delta stacks these
+    integer rows, so coordinates never touch Fraction arithmetic.  The
+    determinant, computed from them to validate the representative, is
+    kept, so ``unimodularize`` needs no second elimination.
+    """
+
+    __slots__ = ("m", "rep", "_ints", "_scales", "_det")
 
     def __init__(self, rep, require_unimodular=True):
         if not isinstance(rep, Mat):
@@ -87,12 +94,14 @@ class DecoratedFlag:
         if not rep.is_square:
             raise FlagError("flag representative must be square")
         self.m = rep.rows
-        d = det(rep)
+        self.rep = rep
+        ints, self._scales = _integer_clearing(rep.entries)
+        self._ints = tuple(ints)  # elimination rebinds the list's entries
+        d = self._det = _det_cleared(ints, self._scales[-1])
         if d == 0:
             raise FlagError("flag representative is singular")
         if require_unimodular and d != 1:
             raise FlagError("flag representative has det %s != 1" % scalar_str(d))
-        self.rep = rep
 
     def __eq__(self, other):
         """Equality of decorated flags, i.e. of coset normal forms."""
@@ -125,17 +134,14 @@ class DecoratedFlag:
                     rows[t] = [a - f * b for a, b in zip(rows[t], rows[j])]
             piv = next(c for c, x in enumerate(rows[t]) if x != 0)
             pivots.append(piv)
-        out = DecoratedFlag.__new__(DecoratedFlag)
-        out.m = self.m
-        out.rep = Mat(rows)
-        return out
+        return DecoratedFlag(Mat._of(tuple(map(tuple, rows))), require_unimodular=False)
 
     def unimodularize(self):
         """Scale the last row so the representative has det 1.
 
         Only the top decoration changes, which no coordinate sees.
         """
-        d = det(self.rep)
+        d = self._det
         if d == 1:
             return self
         return DecoratedFlag(self.rep.scale_row(self.m - 1, 1 / d))
@@ -149,7 +155,7 @@ class DecoratedFlag:
         bilinear form x J y^T; applying the map twice returns the same coset.
         """
         rows = self.rep.inverse_transpose().entries
-        out = Mat([row[::-1] for row in reversed(rows)])
+        out = Mat._of(tuple(row[::-1] for row in reversed(rows)))
         return DecoratedFlag(out, require_unimodular=False).unimodularize()
 
     def scale_rows(self, factors):
@@ -160,9 +166,15 @@ class DecoratedFlag:
 
 
 class Configuration:
-    """An ordered tuple of decorated flags modulo the global unimodular action."""
+    """An ordered tuple of decorated flags modulo the global unimodular action.
 
-    __slots__ = ("m", "n", "flags")
+    A configuration is immutable, so each coordinate is computed once: delta
+    keeps a memo from multi-index to value, which all_deltas, same_point,
+    sign_normalize and every later reader share.  The memo belongs to this
+    object only; configurations built from it start with their own.
+    """
+
+    __slots__ = ("m", "n", "flags", "_deltas")
 
     def __init__(self, flags):
         flags = tuple(flags)
@@ -174,18 +186,25 @@ class Configuration:
         self.m = m
         self.n = len(flags)
         self.flags = flags
+        self._deltas = {}
 
     def __repr__(self):
         return "Configuration(n=%d, m=%d)" % (self.n, self.m)
 
     def delta(self, idx):
-        """The coordinate at a multi-index: one stacked determinant."""
+        """The coordinate at a multi-index: one stacked determinant, taken
+        from the memo after the first call."""
         idx = check_index(idx, self.n, self.m)
-        rows = []
-        for k, i in enumerate(idx):
-            if i:
-                rows.extend(self.flags[k].rows(i))
-        return det(Mat(rows))
+        v = self._deltas.get(idx)
+        if v is None:
+            rows = []
+            scale = 1
+            for f, i in zip(self.flags, idx):
+                if i:
+                    rows.extend(f._ints[:i])
+                    scale *= f._scales[i]
+            v = self._deltas[idx] = _det_cleared(rows, scale)
+        return v
 
     def all_deltas(self):
         """Every admissible coordinate, as a dict multi-index -> value."""

@@ -4,10 +4,18 @@ Scalars are ``fractions.Fraction`` throughout: always in canonical reduced
 form, with the sign carried on the numerator.  They serialize as the string
 ``"p/q"`` (or just ``"p"`` when the denominator is 1).
 
-Matrices are immutable tuples of tuples of Fractions.  Determinants and
-linear solves go through fraction-free (Bareiss) elimination on an integer
-clearing of the input, which keeps intermediate entries polynomially bounded
-instead of letting naive elimination blow up.
+Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
+constructor coerces every entry through ``scalar`` (so it rejects floats);
+paths that already hold Fractions (transpose, products, row operations,
+inverses, stacked coordinate rows, canonical forms) wrap them as they are
+with the internal ``Mat._of``.
+
+Determinants, solves, inverses and cofactor vectors run on Python ints.
+Each row is cleared to integers once, as numerator * (lcm // denominator)
+with no Fraction arithmetic, and fraction-free Bareiss elimination (Math.
+Comp. 22, 1968) keeps every intermediate entry a minor of the cleared
+matrix, so its divisions are exact and its entries polynomially bounded.
+Fractions are formed only for the results.
 """
 
 from fractions import Fraction
@@ -61,6 +69,16 @@ class Mat:
         self.cols = cols
 
     @classmethod
+    def _of(cls, entries):
+        """Wrap a non-empty tuple of equal-length tuples of Fractions as is,
+        without coercing or checking; for entries computed from Fractions."""
+        m = object.__new__(cls)
+        m.entries = entries
+        m.rows = len(entries)
+        m.cols = len(entries[0])
+        return m
+
+    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -85,7 +103,7 @@ class Mat:
         return self.entries[i]
 
     def transpose(self):
-        return Mat(tuple(zip(*self.entries)))
+        return Mat._of(tuple(zip(*self.entries)))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -93,22 +111,23 @@ class Mat:
                 raise ValueError("shape mismatch: %dx%d * %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
             bt = other.transpose().entries
-            return Mat([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                        for row in self.entries])
+            return Mat._of(tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                for row in self.entries))
         return NotImplemented
 
     def scale_row(self, i, factor):
         factor = scalar(factor)
-        rows = [list(r) for r in self.entries]
-        rows[i] = [factor * x for x in rows[i]]
-        return Mat(rows)
+        rows = list(self.entries)
+        rows[i] = tuple(factor * x for x in rows[i])
+        return Mat._of(tuple(rows))
 
     def add_multiple_of_row(self, dst, src, factor):
         """Row operation dst += factor * src (returns a new Mat)."""
         factor = scalar(factor)
-        rows = [list(r) for r in self.entries]
-        rows[dst] = [a + factor * b for a, b in zip(rows[dst], rows[src])]
-        return Mat(rows)
+        rows = list(self.entries)
+        rows[dst] = tuple(a + factor * b for a, b in zip(rows[dst], rows[src]))
+        return Mat._of(tuple(rows))
 
     def det(self):
         return det(self)
@@ -120,53 +139,97 @@ class Mat:
         return inverse_transpose(self)
 
 
-def _integer_clearing(m):
-    """Scale each row of ``m`` to integers; return (int rows, product of scales)."""
+def _clear_row(row):
+    """(integer row, d) with the integer row equal to d * row, d the lcm of
+    the denominators; numerator * (d // denominator) skips Fraction
+    arithmetic."""
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _integer_clearing(rows):
+    """Scale each row to integers; return (int rows, prefix scales), where
+    scales[k] is the product of the first k row scales, so the first k int
+    rows are scales[k] times the first k rows as a block."""
     int_rows = []
-    scale = 1
-    for row in m.entries:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        int_rows.append([int(x * d) for x in row])
-        scale *= d
-    return int_rows, scale
+    scales = [1]
+    for row in rows:
+        ints, d = _clear_row(row)
+        int_rows.append(ints)
+        scales.append(scales[-1] * d)
+    return int_rows, scales
 
 
 def _bareiss(rows, ncols_reduce):
-    """Fraction-free elimination on integer ``rows`` in place.
+    """Fraction-free elimination on the list of integer ``rows``.
 
-    Reduces the first ``ncols_reduce`` columns.  Returns the sign from row
-    swaps and the list of pivot positions.  Raises SingularMatrixError when
-    some stage has no pivot.
+    Reduces the first ``ncols_reduce`` columns, replacing entries of the
+    list by new rows; the row sequences passed in are never written to.
+    Returns the sign from row swaps.  Raises SingularMatrixError when some
+    stage has no pivot.
     """
     n = len(rows)
     sign = 1
     prev = 1
     for k in range(ncols_reduce):
-        piv = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(k)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
+        if rows[k][k] == 0:
+            # pivot on the first later row that is nonzero in column k
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                raise SingularMatrixError(k)
+        p = rows[k][k]
+        tail = rows[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, len(rows[i])):
-                rows[i][j] = (rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
+            row = rows[i]
+            f = row[k]
+            # entries left of column k are already zero
+            rows[i] = [0] * (k + 1) + [(p * a - f * b) // prev
+                                       for a, b in zip(row[k + 1:], tail)]
+        prev = p
     return sign
 
 
-def det(m):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if not m.is_square:
-        raise ValueError("determinant of non-square %dx%d matrix" % (m.rows, m.cols))
-    rows, scale = _integer_clearing(m)
+def _det_cleared(rows, scale):
+    """det of the matrix whose integer clearing is (rows, scale)."""
     n = len(rows)
     try:
         sign = _bareiss(rows, n - 1)
     except SingularMatrixError:
         return Fraction(0)
     return Fraction(sign * rows[n - 1][n - 1], scale)
+
+
+def _solve_cleared(rows, n):
+    """Solve the integer system [A | B] (n rows, any number of right-hand
+    side columns); return (Y, p) with A^-1 B = Y / p entrywise, Y a list of
+    integer rows.
+
+    p is the last Bareiss pivot, +-det(A), so Y = p A^-1 B = +-adj(A) B is
+    integral and back substitution divides exactly.
+    """
+    _bareiss(rows, n)
+    p = rows[n - 1][n - 1]
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = [p * b for b in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * v for a, v in zip(acc, y[j])]
+        y[i] = [a // row[i] for a in acc]
+    return y, p
+
+
+def det(m):
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if not m.is_square:
+        raise ValueError("determinant of non-square %dx%d matrix" % (m.rows, m.cols))
+    rows, scales = _integer_clearing(m.entries)
+    return _det_cleared(rows, scales[-1])
 
 
 def solve(a, b):
@@ -179,26 +242,46 @@ def solve(a, b):
         raise ValueError("solve needs a square matrix")
     if len(b) != a.rows:
         raise ValueError("right-hand side length %d != %d" % (len(b), a.rows))
-    aug = Mat([list(row) + [scalar(x)] for row, x in zip(a.entries, b)])
-    rows, _ = _integer_clearing(aug)
-    n = a.rows
-    _bareiss(rows, n)
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            s -= rows[i][j] * x[j]
-        x[i] = s / rows[i][i]
-    return tuple(x)
+    rows, _ = _integer_clearing([row + (scalar(x),) for row, x in zip(a.entries, b)])
+    y, p = _solve_cleared(rows, a.rows)
+    return tuple(Fraction(yi[0], p) for yi in y)
 
 
 def inverse(a):
-    """Exact inverse via column-wise solves."""
+    """Exact inverse by one elimination on [D a | D], where D holds the
+    row-clearing scales, so that (D a)^-1 D = a^-1."""
+    if not a.is_square:
+        raise ValueError("inverse of non-square %dx%d matrix" % (a.rows, a.cols))
     n = a.rows
-    cols = [solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return Mat(cols).transpose()
+    rows = []
+    for i, row in enumerate(a.entries):
+        ints, d = _clear_row(row)
+        rows.append(ints + [d if j == i else 0 for j in range(n)])
+    y, p = _solve_cleared(rows, n)
+    return Mat._of(tuple(tuple(Fraction(v, p) for v in yi) for yi in y))
 
 
 def inverse_transpose(a):
     """(a^-1)^T exactly; det of the result is 1/det(a)."""
     return inverse(a).transpose()
+
+
+def cofactor_vector(rows, pos):
+    """The vector c with det(rows[:pos] + [x] + rows[pos:]) = x . c for all x.
+
+    ``rows`` holds m - 1 >= 1 rows of length m.  With R the cleared rows,
+    det([R; e_t]) = det([R^T | e_t]), and these m matrices share their
+    first m - 1 columns, so one elimination of [R^T | I] on those columns
+    leaves every probe determinant in its last row.
+    """
+    int_rows, scales = _integer_clearing(rows)
+    m = len(int_rows) + 1
+    aug = [list(col) + [int(i == t) for t in range(m)]
+           for i, col in enumerate(zip(*int_rows))]
+    try:
+        sign = _bareiss(aug, m - 1)
+    except SingularMatrixError:
+        return (Fraction(0),) * m
+    # moving the probe row from position pos to the end takes m-1-pos swaps
+    sign *= (-1) ** (m - 1 - pos)
+    return tuple(Fraction(sign * v, scales[-1]) for v in aug[m - 1][m - 1:])

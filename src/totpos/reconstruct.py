@@ -11,7 +11,7 @@ the dual tree of the triangulation.
 import random
 from fractions import Fraction
 
-from .rational import Mat, det, solve, scalar_str
+from .rational import Mat, solve, scalar_str, cofactor_vector
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, PolygonError
 
@@ -75,10 +75,7 @@ def _complete_last_row(rows, m):
     The cofactor vector c of the m-1 given rows satisfies det(rows + [x]) =
     x . c; the completion c / (c . c) is rational and basis-free.
     """
-    cof = []
-    for t in range(m):
-        e = [Fraction(int(j == t)) for j in range(m)]
-        cof.append(det(Mat(list(rows) + [e])))
+    cof = cofactor_vector(rows, m - 1)
     norm = sum(x * x for x in cof)
     return [x / norm for x in cof]
 
@@ -142,7 +139,8 @@ def _solve_row(rows_at, tri, known, new_vertex, trow, m, value):
         j = m - trow - i
         weights = {u: i, v: j, new_vertex: trow}
         # stack blocks in ascending vertex order; the unknown row is the
-        # last row of the new vertex's block
+        # last row of the new vertex's block, and the determinant is linear
+        # in it with the cofactor vector as coefficients
         rows = []
         unknown_pos = None
         for w in sorted(tri):
@@ -150,15 +148,9 @@ def _solve_row(rows_at, tri, known, new_vertex, trow, m, value):
             if w == new_vertex:
                 rows.extend(rows_at[w][:trow - 1])
                 unknown_pos = len(rows)
-                rows.append(None)
             elif wt:
                 rows.extend(rows_at[w][:wt])
-        coeffs = []
-        for col in range(m):
-            e = [Fraction(int(c == col)) for c in range(m)]
-            probe = [e if r is None else r for r in rows]
-            coeffs.append(det(Mat(probe)))
-        lhs.append(coeffs)
+        lhs.append(cofactor_vector(rows, unknown_pos))
         rhs.append(value(weights))
     for prev in rows_at[new_vertex]:
         lhs.append(list(prev))

@@ -53,11 +53,12 @@ def random_triangulation(n, seed):
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(totpos.__file__)))
 
 
-def run_totpos(args, stdin=""):
-    """Run `python -m totpos ARGS` in a fresh interpreter on the same source
-    tree this process imported, with real argv, stdin, stdout and exit code."""
+def run_totpos(args, stdin="", python_flags=()):
+    """Run `python PYTHON_FLAGS -m totpos ARGS` in a fresh interpreter on the
+    same source tree this process imported, with real argv, stdin, stdout
+    and exit code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SOURCE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "totpos", *args], input=stdin,
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *python_flags, "-m", "totpos", *args],
+                          input=stdin, capture_output=True, text=True, env=env)

@@ -120,12 +120,25 @@ def test_act_on_non_object_exits_two(data):
 
 
 @pytest.mark.parametrize("args", [["dim", "0", "-1"], ["dim", "2", "5"],
-                                  ["gen", "5", "2", "--bound", "0"]])
+                                  ["gen", "5", "2", "--bound", "0"],
+                                  ["verify-axioms", "--trials", "-2"],
+                                  ["verify-axioms", "--trials", "0"],
+                                  ["verify-cactus", "--trials", "-2"],
+                                  ["verify-cactus", "--trials", "0"]])
 def test_out_of_range_sizes_exit_two(args):
     out = run_totpos(args)
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert "error" in json.loads(out.stderr)
+
+
+def test_reading_a_file_closes_it(tmp_path, v_config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(v_config.to_json()))
+    out = run_totpos(["delta", str(path), "--index", "0,1,0,1"],
+                     python_flags=["-X", "dev", "-W", "error::ResourceWarning"])
+    assert out.returncode == 0, out.stderr
+    assert (out.stdout, out.stderr) == ("2\n", "")
 
 
 def test_act_at_m5():

@@ -7,7 +7,7 @@ import pytest
 from totpos.rational import Mat, det
 from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
                           check_index, sign_normalize, relabel, rotate,
-                          rotate_inv, face, iota, theta, FlagError,
+                          rotate_inv, face, iota, theta, reverse, FlagError,
                           NotGenericError, SignNormalizeError)
 from totpos.reconstruct import random_positive
 
@@ -218,3 +218,50 @@ def test_relabel_moves_supports():
     c = random_positive(4, 2, 71)
     r = relabel(c, (2, 3, 4, 1))
     assert r.delta((1, 1, 0, 0)) in (c.delta((0, 1, 1, 0)), -c.delta((0, 1, 1, 0)))
+
+
+def stacked_det(c, idx):
+    """A coordinate from scratch: the determinant of the stacked rows."""
+    rows = []
+    for k, i in enumerate(idx):
+        rows.extend(c.flags[k].rows(i))
+    return det(Mat(rows))
+
+
+def test_delta_memo_repeats_the_stacked_determinant():
+    c = random_positive(5, 3, 73)
+    for idx in admissible_indices(5, 3):
+        first = c.delta(idx)
+        assert c.delta(idx) == first == stacked_det(c, idx)
+        assert c.delta(list(idx)) == first
+
+
+def test_derived_configurations_do_not_share_the_memo():
+    c = random_positive(4, 3, 9)
+    flipped = Configuration([
+        c.flags[0].scale_rows([-1, -1, 1]),
+        c.flags[1],
+        c.flags[2].scale_rows([1, -1, -1]),
+        c.flags[3].scale_rows([-1, 1, 1]),
+    ])
+    for source in (c, flipped):
+        before = source.all_deltas()  # fill the source's memo first
+        for out in (sign_normalize(source), reverse(source),
+                    relabel(source, (2, 3, 4, 1))):
+            fresh = Configuration(out.flags)
+            assert out.all_deltas() == fresh.all_deltas()
+            assert all(out.delta(idx) == stacked_det(out, idx)
+                       for idx in admissible_indices(4, 3))
+        assert source.all_deltas() == before
+    assert sign_normalize(flipped).all_deltas() != flipped.all_deltas()
+
+
+def test_all_deltas_unchanged_by_same_point_and_by_callers():
+    c = random_positive(4, 3, 5)
+    other = random_positive(4, 3, 6)
+    before = {idx: stacked_det(c, idx) for idx in admissible_indices(4, 3)}
+    assert c.same_point(c) and not c.same_point(other)
+    assert c.all_deltas() == before
+    returned = c.all_deltas()
+    returned[next(iter(returned))] = Fraction(0)
+    assert c.all_deltas() == before

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos.rational import (Mat, det, solve, inverse, inverse_transpose,
-                             scalar, scalar_str, SingularMatrixError)
+                             cofactor_vector, scalar, scalar_str,
+                             SingularMatrixError)
 
 from conftest import det_oracle
 
@@ -15,6 +16,33 @@ rationals = st.fractions(
 def square(n):
     return st.lists(st.lists(rationals, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(Mat)
+
+
+def unit(n, j):
+    return [Fraction(int(i == j)) for i in range(n)]
+
+
+def inverse_by_columns(a):
+    """Reference inverse: one solve per column of the identity."""
+    n = a.rows
+    return Mat([solve(a, unit(n, j)) for j in range(n)]).transpose()
+
+
+def first_dependent_column(a):
+    """The first k whose column lies in the span of columns 0..k-1, by plain
+    Fraction elimination: the stage at which Bareiss finds no pivot."""
+    basis = []  # reduced columns, each with its pivot position
+    for k, col in enumerate(zip(*a.entries)):
+        v = list(col)
+        for p, b in basis:
+            if v[p]:
+                f = v[p] / b[p]
+                v = [x - f * y for x, y in zip(v, b)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return k
+        basis.append((p, v))
+    return None
 
 
 @given(rationals, rationals)
@@ -30,6 +58,8 @@ def test_scalar_string_round_trip(a):
 def test_scalar_rejects_floats():
     with pytest.raises(TypeError):
         scalar(0.5)
+    with pytest.raises(TypeError):
+        Mat([[0.5]])
 
 
 def test_scalar_parses_strings():
@@ -78,10 +108,75 @@ def test_solve_satisfies_the_system(a, b):
 @given(square(3))
 def test_inverse_transpose(m):
     if det(m) == 0:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
         return
     assert m * inverse(m) == Mat.identity(3)
     assert inverse_transpose(m) == inverse(m).transpose()
     assert det(inverse_transpose(m)) == 1 / det(m)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 5).flatmap(square))
+def test_inverse_matches_column_solves(a):
+    if det(a) == 0:
+        return
+    assert inverse(a) == inverse_by_columns(a)
+    assert a * inverse(a) == Mat.identity(a.rows)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.tuples(square(n), st.integers(0, n - 1),
+                        st.lists(rationals, min_size=n, max_size=n))))
+def test_inverse_of_singular_matrix_raises_at_its_stage(case):
+    # replace column k by a combination of the earlier ones
+    a, k, coeffs = case
+    rows = [list(r[:k]) + [sum((c * x for c, x in zip(coeffs, r[:k])), Fraction(0))]
+            + list(r[k + 1:]) for r in a.entries]
+    singular = Mat(rows)
+    stage = first_dependent_column(singular)
+    assert stage is not None and stage <= k
+    with pytest.raises(SingularMatrixError) as exc:
+        inverse(singular)
+    assert exc.value.stage == stage
+
+
+@pytest.mark.parametrize("rows,stage", [
+    ([[1, 2], [2, 4]], 1),
+    ([[0, 1], [0, 2]], 0),
+    ([[1, 0, 1], [0, 1, 1], [2, 3, 5]], 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 2),
+])
+def test_inverse_singular_stage_examples(rows, stage):
+    with pytest.raises(SingularMatrixError) as exc:
+        inverse(Mat(rows))
+    assert exc.value.stage == stage
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(
+    lambda m: st.tuples(st.lists(st.lists(rationals, min_size=m, max_size=m),
+                                 min_size=m - 1, max_size=m - 1),
+                        st.integers(0, m - 1))))
+def test_cofactor_vector_matches_probe_determinants(case):
+    rows, pos = case
+    m = len(rows) + 1
+    probes = [det(Mat(rows[:pos] + [unit(m, t)] + rows[pos:])) for t in range(m)]
+    assert cofactor_vector(rows, pos) == tuple(probes)
+
+
+def test_cofactor_vector_of_dependent_rows_is_zero():
+    rows = [[Fraction(1), Fraction(2), Fraction(3)],
+            [Fraction(-2), Fraction(-4), Fraction(-6)]]
+    for pos in range(3):
+        assert cofactor_vector(rows, pos) == (0, 0, 0)
+    # a middle probe position on a 4 x 4 stack
+    rows = [[Fraction(1, 2), 0, 0, 1], [0, Fraction(2, 3), 1, 0], [1, 1, 1, 1]]
+    rows = [[Fraction(x) for x in r] for r in rows]
+    expected = tuple(det(Mat(rows[:1] + [unit(4, t)] + rows[1:])) for t in range(4))
+    assert cofactor_vector(rows, 1) == expected
+    assert any(expected)
 
 
 def test_singular_matrix_error_carries_stage():
