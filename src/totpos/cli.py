@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from .flags import Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_dimension, PolygonError
@@ -116,7 +117,10 @@ def _svg(t, m, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _build_parser():
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every run shares it."""
     ap = argparse.ArgumentParser(
         prog="totpos",
         description="exact charts, flips, and reversals for positive flag "
@@ -287,7 +291,7 @@ _COMMANDS = {
 
 
 def run(argv):
-    ap = _build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

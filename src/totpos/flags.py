@@ -19,6 +19,7 @@ is the antidiagonal matrix of ones; this one closed form serves every m.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .rational import Mat, scalar, scalar_str, _integer_clearing, _det_cleared
@@ -46,10 +47,12 @@ class SignNormalizeError(FlagError):
             "witness multi-index %s" % (self.index,))
 
 
+@lru_cache(maxsize=None)
 def admissible_indices(n, m):
     """All multi-indices (i_1..i_n) with sum m and at least two nonzero entries.
 
-    Enumerated in lexicographic order.
+    Enumerated in lexicographic order, once per (n, m): the result is a
+    shared tuple.
     """
     out = []
     # stars and bars: bar positions in a row of m stars
@@ -62,7 +65,7 @@ def admissible_indices(n, m):
         idx.append(m + n - 2 - prev)
         if sum(1 for x in idx if x) >= 2:
             out.append(tuple(idx))
-    return out
+    return tuple(out)
 
 
 def check_index(idx, n, m):

@@ -8,7 +8,7 @@ siblings of strictly smaller such weight, grounding in old-chart values.
 All steps are subtraction free, so positivity propagates for free.
 """
 
-from .polygon import ChartPoint, chart_indices, PolygonError
+from .polygon import ChartPoint, PolygonError, flip_path
 
 
 class MutationError(ValueError):
@@ -22,56 +22,48 @@ def exchange(ab, cd, bc, ad, ac):
     return (ab * cd + bc * ad) / ac
 
 
-def quad_weights(idx, quad):
-    """Weights of a multi-index at the quadrilateral's four positions;
-    None if the index has support outside the quadrilateral."""
-    w = []
-    support = {v - 1 for v in quad}
-    for k, x in enumerate(idx):
-        if x and k not in support:
-            return None
-    for v in quad:
-        w.append(idx[v - 1])
-    return tuple(w)
-
-
 def flip_transport(p, d):
-    """Chart point of the flipped triangulation for the same underlying point."""
+    """Chart point of the flipped triangulation for the same underlying point.
+
+    Only the quadrilateral (a, b, c, e) around d = {a, c} changes: the {a, c}
+    edge and the interiors of faces (a, b, c) and (a, c, e) leave the chart,
+    and the {b, e} edge and the interiors of (a, b, e) and (b, c, e) join
+    it.  Every other value carries over.
+    """
     t = p.triangulation
-    d = tuple(sorted(d))
     a, b, c, e = t.quadrilateral(d)
     n, m = t.n, p.m
 
-    def old_value(i, j, k, l):
+    def key(i, j, k, l):
         idx = [0] * n
         idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] = i, j, k, l
-        return p.values[tuple(idx)]
+        return tuple(idx)
 
     memo = {}
 
     def value(i, j, k, l):
         # induction on j + l, seeded by the old chart (j = 0 or l = 0)
         if j == 0 or l == 0:
-            return old_value(i, j, k, l)
-        key = (i, j, k, l)
-        if key not in memo:
-            memo[key] = exchange(
+            return p.values[key(i, j, k, l)]
+        w = (i, j, k, l)
+        if w not in memo:
+            memo[w] = exchange(
                 value(i + 1, j, k, l - 1), value(i, j - 1, k + 1, l),
                 value(i, j, k + 1, l - 1), value(i + 1, j - 1, k, l),
                 value(i + 1, j - 1, k + 1, l - 1))
-        return memo[key]
+        return memo[w]
 
-    t2 = t.flip(d)
-    new_values = {}
-    for idx in chart_indices(t2, m):
-        if idx in p.values:
-            new_values[idx] = p.values[idx]
-        else:
-            w = quad_weights(idx, (a, b, c, e))
-            if w is None:
-                raise MutationError("unexpected chart index %s after flip" % (idx,))
-            new_values[idx] = value(*w)
-    return ChartPoint(t2, m, new_values)
+    # weights of the face interiors: three positive parts summing to m
+    inner = [(i, j, m - i - j) for i in range(1, m - 1) for j in range(1, m - i)]
+    values = dict(p.values)
+    for i in range(1, m):
+        del values[key(i, 0, m - i, 0)]
+        values[key(0, i, 0, m - i)] = value(0, i, 0, m - i)
+    for i, j, k in inner:
+        del values[key(i, j, k, 0)], values[key(i, 0, j, k)]
+        values[key(i, j, 0, k)] = value(i, j, 0, k)
+        values[key(0, i, j, k)] = value(0, i, j, k)
+    return ChartPoint._of(t.flip(d), m, values)
 
 
 def transport(p, target):
@@ -80,11 +72,10 @@ def transport(p, target):
     The result does not depend on the chosen path; the verification harness
     checks this rather than assuming it.
     """
-    from .polygon import flip_path
-
     if target.n != p.triangulation.n:
         raise PolygonError("mismatched polygon sizes")
     for d in flip_path(p.triangulation, target):
         p = flip_transport(p, d)
-    assert p.triangulation == target
+    if p.triangulation != target:
+        raise MutationError("flip path ended at %r, not at %r" % (p.triangulation, target))
     return p

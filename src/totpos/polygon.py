@@ -66,6 +66,17 @@ class Triangulation:
         self._triangles = None
 
     @classmethod
+    def _of(cls, n, diagonals, triangles):
+        """Wrap a frozenset of ascending diagonal pairs and their ascending
+        list of ascending face triples as is, without checking; for
+        triangulations derived from a valid one, such as by a flip."""
+        t = object.__new__(cls)
+        t.n = n
+        t.diagonals = diagonals
+        t._triangles = triangles
+        return t
+
+    @classmethod
     def fan(cls, n, apex=1):
         diags = []
         for v in range(1, n + 1):
@@ -119,19 +130,29 @@ class Triangulation:
         if d not in self.diagonals:
             raise PolygonError("%s is not a diagonal" % (d,))
         adjacent = [t for t in self.triangles() if d[0] in t and d[1] in t]
-        assert len(adjacent) == 2
-        quad = sorted(set(adjacent[0]) | set(adjacent[1]))
-        q1, q2, q3, q4 = quad
+        if len(adjacent) != 2:
+            raise PolygonError("diagonal %s borders %d faces, not 2" % (d, len(adjacent)))
+        q1, q2, q3, q4 = sorted(set(adjacent[0]) | set(adjacent[1]))
         if d == (q1, q3):
             return (q1, q2, q3, q4)
-        assert d == (q2, q4)
+        if d != (q2, q4):
+            raise PolygonError("diagonal %s is not a diagonal of its quadrilateral" % (d,))
         return (q2, q3, q4, q1)
 
     def flip(self, d):
-        """Replace diagonal d by the opposite diagonal of its quadrilateral."""
+        """Replace diagonal d by the opposite diagonal of its quadrilateral.
+
+        Only the quadrilateral changes: faces (a, b, c) and (a, c, e) on the
+        old diagonal {a, c} give way to (a, b, e) and (b, c, e), and the face
+        list stays ascending.
+        """
         a, b, c, e = self.quadrilateral(d)
-        new = tuple(sorted((b, e)))
-        return Triangulation(self.n, (self.diagonals - {tuple(sorted(d))}) | {new})
+        gone = {tuple(sorted(f)) for f in ((a, b, c), (a, c, e))}
+        faces = [f for f in self._triangles if f not in gone]
+        faces += [tuple(sorted(f)) for f in ((a, b, e), (b, c, e))]
+        faces.sort()
+        diagonals = (self.diagonals - {(min(a, c), max(a, c))}) | {(min(b, e), max(b, e))}
+        return Triangulation._of(self.n, diagonals, faces)
 
     def to_json(self):
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
@@ -148,13 +169,12 @@ def flip_path(t1, t2):
         raise PolygonError("triangulations of different polygons")
     if t1 == t2:
         return []
+    fan = Triangulation.fan(t1.n).diagonals
 
     def path_to_fan(t):
         path = []
         while True:
-            missing = [d for d in Triangulation.fan(t.n).diagonals
-                       if d not in t.diagonals]
-            if not missing:
+            if t.diagonals == fan:
                 return path
             # flip any diagonal whose quadrilateral contains vertex 1
             for d in sorted(t.diagonals):
@@ -232,6 +252,17 @@ class ChartPoint:
         self.m = m
         self.values = values
 
+    @classmethod
+    def _of(cls, triangulation, m, values):
+        """Wrap a dict of positive Fractions keyed by exactly the chart
+        indices as is, without checking; for chart points the library
+        derives from a valid one, such as by flip transport."""
+        p = object.__new__(cls)
+        p.triangulation = triangulation
+        p.m = m
+        p.values = values
+        return p
+
     def __eq__(self, other):
         return (isinstance(other, ChartPoint)
                 and self.triangulation == other.triangulation
@@ -251,6 +282,8 @@ class ChartPoint:
     @classmethod
     def from_json(cls, data):
         t = Triangulation.from_json(data["triangulation"])
+        if not isinstance(data["values"], dict):
+            raise PolygonError("chart values must be an object keyed by chart indices")
         values = {tuple(int(x) for x in k.split(",")): scalar(v)
                   for k, v in data["values"].items()}
         return cls(t, int(data["m"]), values)
@@ -284,7 +317,8 @@ def glue_check(assignment, t):
             raise PolygonError("each triangle needs an n=3 configuration of matching m")
     for d in t.diagonals:
         sides = [tri for tri in tris if d[0] in tri and d[1] in tri]
-        assert len(sides) == 2
+        if len(sides) != 2:
+            raise PolygonError("diagonal %s borders %d faces, not 2" % (d, len(sides)))
         vals = []
         for tri in sides:
             c = assignment[tri]

@@ -35,11 +35,17 @@ class SingularMatrixError(ValueError):
 
 
 def scalar(x):
-    """Coerce ints, strings like "p/q", and Fractions to a canonical Fraction."""
+    """Coerce ints, strings like "p/q", and Fractions to a canonical Fraction.
+
+    Floats raise TypeError, and a string with a zero denominator ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % x) from None
     if isinstance(x, float):
         raise TypeError("floats are not exact; got %r" % x)
     return Fraction(x)

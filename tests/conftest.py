@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import totpos
 from totpos.rational import Mat
@@ -47,6 +48,26 @@ def random_triangulation(n, seed):
         d = rng.choice(sorted(t.diagonals))
         t = t.flip(d)
     return t
+
+
+@st.composite
+def triangulations(draw, n):
+    """A triangulation of the n-gon built through the public constructor by
+    recursive splitting: each sub-polygon's base edge gets a drawn apex."""
+    diagonals = []
+
+    def split(vs):
+        if len(vs) < 3:
+            return
+        k = draw(st.integers(1, len(vs) - 2))
+        for a in (vs[0], vs[-1]):
+            if abs(a - vs[k]) not in (1, n - 1):
+                diagonals.append((a, vs[k]))
+        split(vs[:k + 1])
+        split(vs[k:])
+
+    split(list(range(1, n + 1)))
+    return Triangulation(n, diagonals)
 
 
 # The directory holding the `totpos` package this test process imported.

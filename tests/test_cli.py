@@ -119,6 +119,52 @@ def test_act_on_non_object_exits_two(data):
     assert "error" in json.loads(out.stderr)
 
 
+def _with_zero_denominator(data, key):
+    data = json.loads(data)
+    if key == "values":
+        data["values"][min(data["values"])] = "1/0"
+    else:
+        data["flags"][0][0][0] = "1/0"
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("args", [["flip", "-", "--diagonal", "1-3"],
+                                  ["transport", "-", "--diagonals", "2-4,2-5"],
+                                  ["act", "-", "--word", "[[1,3]]"]])
+@pytest.mark.parametrize("bad", ["zero denominator", "values not an object"])
+def test_malformed_chart_values_exit_two(args, bad):
+    _, cfg = run_cli(["gen", "5", "2", "--seed", "3"])
+    _, chart = run_cli(["charts", "-"], cfg)
+    if bad == "zero denominator":
+        chart = _with_zero_denominator(chart, "values")
+    else:
+        chart = json.dumps(dict(json.loads(chart), values=[]))
+    out = run_totpos(args, chart)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
+@pytest.mark.parametrize("args", [["delta", "-", "--index", "1,1,0,0"],
+                                  ["act", "-", "--word", "[[1,3]]"]])
+def test_zero_denominator_in_flag_exits_two(args):
+    _, cfg = run_cli(["gen", "4", "2", "--seed", "3"])
+    out = run_totpos(args, _with_zero_denominator(cfg, "flags"))
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
+def test_parser_is_built_once_and_reused():
+    assert cli._parser() is cli._parser()
+    first = run_cli(["--help"])
+    assert first[0] == 0 and first[1].startswith("usage: totpos")
+    assert run_cli(["gen", "x", "2"])[0] == 2
+    assert run_cli(["flip", "-"])[0] == 2
+    assert run_cli(["--help"]) == first
+    assert run_cli(["dim", "8", "4"]) == (0, "57\n")
+
+
 @pytest.mark.parametrize("args", [["dim", "0", "-1"], ["dim", "2", "5"],
                                   ["gen", "5", "2", "--bound", "0"],
                                   ["verify-axioms", "--trials", "-2"],

@@ -21,7 +21,7 @@ def test_admissible_index_count():
         for m in (2, 3, 4):
             idxs = admissible_indices(n, m)
             assert len(idxs) == comb(m + n - 1, n - 1) - n
-            assert idxs == sorted(idxs)
+            assert list(idxs) == sorted(idxs)
             assert all(sum(i) == m and sum(1 for x in i if x) >= 2
                        for i in idxs)
 

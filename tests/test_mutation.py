@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from totpos import mutation
 from totpos.polygon import Triangulation, ChartPoint, chart_indices
 from totpos.mutation import exchange, flip_transport, transport, MutationError
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point)
 
-from conftest import random_triangulation
+from conftest import random_triangulation, triangulations
 
 
 def exchange_instances(m):
@@ -136,3 +138,57 @@ def test_transport_rejects_size_mismatch():
     from totpos.polygon import PolygonError
     with pytest.raises(PolygonError):
         transport(p, Triangulation.fan(6))
+
+
+@st.composite
+def chart_points(draw):
+    """A random positive chart point on a drawn triangulation, n 4..12,
+    m 2..5."""
+    n = draw(st.integers(4, 12))
+    m = draw(st.integers(2, 5))
+    t = draw(triangulations(n))
+    return random_chart_point(t, m, draw(st.integers(0, 10 ** 6)))
+
+
+def random_walk(draw, p, max_len):
+    """The chart point p carried along a drawn sequence of flips."""
+    for _ in range(draw(st.integers(1, max_len))):
+        p = flip_transport(p, draw(st.sampled_from(sorted(p.triangulation.diagonals))))
+    return p
+
+
+@settings(deadline=None, max_examples=100)
+@given(chart_points(), st.data())
+def test_flip_transport_result_passes_public_checks(p, data):
+    d = data.draw(st.sampled_from(sorted(p.triangulation.diagonals)))
+    q = flip_transport(p, d)
+    assert ChartPoint(q.triangulation, p.m, q.values) == q
+    public = Triangulation(p.triangulation.n, q.triangulation.diagonals)
+    assert ChartPoint(public, p.m, q.values) == q
+
+
+@settings(deadline=None, max_examples=100)
+@given(chart_points(), st.data())
+def test_flip_is_an_involution_on_chart_points(p, data):
+    d = data.draw(st.sampled_from(sorted(p.triangulation.diagonals)))
+    _, b, _, e = p.triangulation.quadrilateral(d)
+    assert flip_transport(flip_transport(p, d), (b, e)) == p
+
+
+@settings(deadline=None, max_examples=60)
+@given(chart_points(), st.data())
+def test_transport_is_path_independent(p, data):
+    """Two random flip walks, the second completed by transport, reach the
+    same chart point as the direct transport through the fan."""
+    n = p.triangulation.n
+    q = random_walk(data.draw, p, n)
+    r = random_walk(data.draw, p, n)
+    assert transport(r, q.triangulation) == q
+    assert transport(p, q.triangulation) == q
+
+
+def test_transport_raises_when_the_path_misses_the_target(monkeypatch):
+    p = random_chart_point(Triangulation.fan(5), 2, 1)
+    monkeypatch.setattr(mutation, "flip_path", lambda t1, t2: [])
+    with pytest.raises(MutationError):
+        transport(p, Triangulation.fan(5, apex=3))

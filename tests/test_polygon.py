@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             chart_dimension, flip_path, glue_check,
@@ -9,7 +10,7 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
 from totpos.flags import Configuration
 from totpos.reconstruct import flags_to_charts, random_positive, random_chart_point
 
-from conftest import random_triangulation
+from conftest import random_triangulation, triangulations
 
 
 def test_triangulation_validation():
@@ -87,6 +88,47 @@ def test_chart_point_validation():
         ChartPoint(t, 2, bad)
     with pytest.raises(PolygonError):
         ChartPoint(t, 2, {idx: 1 for idx in idxs[1:]})
+
+
+def test_chart_point_from_json_keeps_its_checks():
+    p = random_chart_point(Triangulation.fan(5), 3, 5)
+    good = p.to_json()
+    ChartPoint.from_json(good)
+    keys = sorted(good["values"])
+    missing = dict(good, values={k: good["values"][k] for k in keys[1:]})
+    extra = dict(good, values=dict(good["values"], **{"0,1,0,1,1": "1"}))
+    for bad in (missing, extra):
+        with pytest.raises(PolygonError, match="keyed"):
+            ChartPoint.from_json(bad)
+    for v in ("0", "-1/2"):
+        with pytest.raises(PolygonError, match="not positive"):
+            ChartPoint.from_json(dict(good, values=dict(good["values"], **{keys[0]: v})))
+    with pytest.raises(PolygonError, match="object"):
+        ChartPoint.from_json(dict(good, values=[]))
+    with pytest.raises(ValueError, match="zero denominator"):
+        ChartPoint.from_json(dict(good, values=dict(good["values"], **{keys[0]: "1/0"})))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(4, 12).flatmap(triangulations), st.data())
+def test_flip_faces_match_the_public_constructor(t, data):
+    """Along a random walk of flips, each flipped triangulation lists the
+    faces of a freshly validated one, in the same order."""
+    for _ in range(data.draw(st.integers(1, t.n))):
+        t = t.flip(data.draw(st.sampled_from(sorted(t.diagonals))))
+        public = Triangulation(t.n, t.diagonals)
+        assert t.triangles() == public.triangles()
+        assert t == public
+
+
+def test_inconsistent_faces_raise_without_asserts(v_config):
+    # a trusted triangulation whose face list misses a face: the checks
+    # that remain on the flip path are raises, which python -O keeps
+    t = Triangulation._of(4, frozenset({(1, 3)}), [(1, 2, 3)])
+    with pytest.raises(PolygonError):
+        t.quadrilateral((1, 3))
+    with pytest.raises(PolygonError):
+        glue_check({(1, 2, 3): Configuration(v_config.flags[:3])}, t)
 
 
 def test_chart_point_serialization_round_trip():
