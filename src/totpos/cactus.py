@@ -1,38 +1,44 @@
 """Interval-reversal generators, words, and the relation harness.
 
 The group in question is generated by reversals s_{p,q} of cyclic vertex
-intervals [p..q].  On a positive configuration the generator acts by the
-sub-polygon reversal: the restriction of the point to the interval is
-reversed (each flag replaced by the orthogonal flag of the mirrored one,
-then sign-normalized to the positive chamber), the restriction to the
-complementary interval is kept, and the two halves meet on a chart adapted
-to the interval, from which the flags are rebuilt.  The result is
-characterized by its two restrictions and the rebuilt flags by the point
-alone, so neither depends on the adapted chart chosen here.
+intervals [p..q].  On a positive point the generator acts by the
+sub-polygon reversal: the point's restriction to the interval is replaced
+by its reversal (the orthogonal flags of the mirrored vertices), and its
+restriction to the complementary interval is kept.  The action runs on
+chart values alone, with no flag and no determinant:
 
-Reversing a proper sub-interval directly at the flag level does not land
-in any sign-normalizable chamber; routing through the sub-polygon
-restriction is what makes the recipe well defined.
+1. transport the chart point to the fan at p, ``Triangulation.fan(n, p)``;
+2. fill the chart adapted to the interval (the cut {p, q}, the fan at q
+   inside, the fan at p outside) in three parts:
+   - values supported outside the interval carry over as they are, since
+     the outside halves of the two triangulations coincide;
+   - each edge value inside is one input value relabelled: out[idx] =
+     in[idx'] with idx'[mirror(w)] = m - idx[w];
+   - each triangle interior inside is the reversal of the mirrored fan
+     triangle, computed by the exchange program of ``_reversal_program``.
+
+The exchange program of one m is a sequence of C(m, 3) mutations of the
+Fock-Goncharov quiver of a triangle, the octahedron-recurrence form of the
+reversal (Henriques-Kamnitzer).  Every step is subtraction free, so the
+result is positive by construction.  A configuration is converted to chart
+values on the fan at vertex 1 once on the way in, and rebuilt once on the
+way out; the rebuilt flags depend only on the point, not on its chart.
 
 The relation set (involutivity, disjoint commutation, nesting) is treated
 as a hypothesis: verify_relations samples random positive points, checks
-each relation exactly, and reports counts plus the first counterexample.
+each relation exactly on chart values, and reports counts plus the first
+counterexample.
 """
 
 import random
+from functools import lru_cache
+from math import prod
 
-from .flags import Configuration, reverse, SignNormalizeError
-from .polygon import (Triangulation, ChartPoint, chart_indices,
-                      cyclic_interval, _is_boundary, PolygonError)
-from .reconstruct import charts_to_flags, random_positive
-
-
-class CactusError(ValueError):
-    """The action recipe failed; carries the offending input serialized."""
-
-    def __init__(self, message, config):
-        self.config_json = config.to_json()
-        super().__init__("%s (input: %s)" % (message, self.config_json))
+from .flags import admissible_indices
+from .polygon import (Triangulation, ChartPoint, cyclic_interval,
+                      _is_boundary, PolygonError)
+from .mutation import transport
+from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
 
 class IntervalGen:
@@ -115,37 +121,120 @@ def _adapted_triangulation(n, iv):
     return Triangulation(n, diags)
 
 
-def act_generator(c, g):
-    """Apply one interval reversal to a positive configuration.
+@lru_cache(maxsize=None)
+def _reversal_program(m):
+    """The exchange steps that reverse the interior values of one triangle.
 
-    The interval's sub-polygon restriction is reversed as a standalone
-    configuration.  The two halves meet on the adapted chart: coordinates
-    supported inside the interval are read off the reversed restriction,
-    all others are kept, and the flags are rebuilt from that chart point.
+    The points are the weights ``admissible_indices(3, m)``, referred to by
+    position.  The quiver is Fock-Goncharov's: arrows w -> w + (1, 0, -1),
+    w -> w + (-1, 1, 0) and w -> w + (0, -1, 1), none joining two points of
+    one edge.  For l = 1..m-2 the interior points with k >= m-1-l are
+    mutated in ascending (k, i) order.  A step (t, out, inc) replaces x[t] by
+    (prod x[out] + prod x[inc]) / x[t], a position repeated once per arrow.
+    After the C(m, 3) steps, the reversed triangle has value x(j, k, i) at
+    interior weight (i, j, k).
     """
-    n, m = c.n, c.m
+    pts = admissible_indices(3, m)
+    pos = {w: s for s, w in enumerate(pts)}
+    b = [[0] * len(pts) for _ in pts]
+    for u in pts:
+        for d in ((1, 0, -1), (-1, 1, 0), (0, -1, 1)):
+            v = tuple(x + y for x, y in zip(u, d))
+            if v in pos and not any(x == y == 0 for x, y in zip(u, v)):
+                b[pos[u]][pos[v]] += 1
+                b[pos[v]][pos[u]] -= 1
+    steps = []
+    for level in range(1, m - 1):
+        for w in sorted((w for w in pts if min(w) and w[2] >= m - 1 - level),
+                        key=lambda w: (w[2], w[0])):
+            t = pos[w]
+            row = b[t]
+            steps.append((t, tuple(s for s, e in enumerate(row) for _ in range(e)),
+                          tuple(s for s, e in enumerate(row) for _ in range(-e))))
+            # quiver mutation at t
+            for r in b:
+                if r is not row and r[t]:
+                    for s, e in enumerate(row):
+                        r[s] += (abs(r[t]) * e + r[t] * abs(e)) // 2
+            for r in b:
+                r[t] = -r[t]
+            b[t] = [-e for e in row]
+    return tuple(steps)
+
+
+def _reverse_triangle(x, m):
+    """Run the exchange program in place on a triangle's values, listed in
+    the order of ``admissible_indices(3, m)``."""
+    for t, out, inc in _reversal_program(m):
+        x[t] = (prod(x[s] for s in out) + prod(x[s] for s in inc)) / x[t]
+
+
+def _index(n, vertices, weights):
+    idx = [0] * n
+    for v, w in zip(vertices, weights):
+        idx[v - 1] = w
+    return tuple(idx)
+
+
+def _act_on_chart(p, g):
+    """The generator on a chart point; the result lives on the adapted
+    triangulation of the interval."""
+    n, m = p.triangulation.n, p.m
     iv = g.interval(n)
-    try:
-        rev = reverse(Configuration([c.flags[v - 1] for v in iv]))
-    except SignNormalizeError as exc:
-        raise CactusError("sign normalization failed at index %s" % (exc.index,), c)
-    t = _adapted_triangulation(n, iv)
-    ivset = set(iv)
-    values = {}
-    for idx in chart_indices(t, m):
-        support = {k + 1 for k, x in enumerate(idx) if x}
-        if support <= ivset:
-            values[idx] = rev.delta(tuple(idx[v - 1] for v in iv))
-        else:
-            values[idx] = c.delta(idx)
-    return charts_to_flags(ChartPoint(t, m, values))
+    values = transport(p, Triangulation.fan(n, iv[0])).values
+    inside = set(iv)
+    outside = [v - 1 for v in range(1, n + 1) if v not in inside]
+    mirror = [g.mirror(v, n) - 1 for v in range(1, n + 1)]
+    out = {}
+    for idx, value in values.items():
+        if any(idx[w] for w in outside):
+            out[idx] = value
+        elif idx.count(0) == n - 2:  # an edge inside; interiors come below
+            edge = [0] * n
+            for w, i in enumerate(idx):
+                if i:
+                    edge[mirror[w]] = m - i
+            out[tuple(edge)] = value
+    # the fan triangles (p, u1, u2) inside, each to its mirror image, whose
+    # vertices in interval order are (mirror(u2), mirror(u1), q)
+    pts = admissible_indices(3, m)
+    for s in range(1, len(iv) - 1):
+        tri = (iv[0], iv[s], iv[s + 1])
+        x = [values[_index(n, tri, w)] for w in pts]
+        _reverse_triangle(x, m)
+        image = [g.mirror(v, n) for v in reversed(tri)]
+        # the reversed value at weight (k, i, j) is x(i, j, k)
+        for (i, j, k), value in zip(pts, x):
+            if i and j and k:
+                out[_index(n, image, (k, i, j))] = value
+    return ChartPoint._of(_adapted_triangulation(n, iv), m, out)
 
 
-def act_word(c, word):
-    """Left-to-right composition of act_generator."""
+def _fan_chart(c):
+    return flags_to_charts(c, Triangulation.fan(c.n))
+
+
+def act_generator(x, g):
+    """Apply one interval reversal to a chart point or a configuration.
+
+    A chart point comes back as a chart point on the interval's adapted
+    triangulation; a configuration comes back as a configuration, rebuilt
+    from that chart.
+    """
+    if isinstance(x, ChartPoint):
+        return _act_on_chart(x, g)
+    return charts_to_flags(_act_on_chart(_fan_chart(x), g))
+
+
+def act_word(x, word):
+    """Left-to-right composition of act_generator, returning the kind it
+    was given.  A configuration is converted to chart values once on the
+    way in and once on the way out."""
+    if word and not isinstance(x, ChartPoint):
+        return charts_to_flags(act_word(_fan_chart(x), word))
     for g in word:
-        c = act_generator(c, g)
-    return c
+        x = act_generator(x, g)
+    return x
 
 
 def _random_interval(rng, n, min_len=2, max_len=None):
@@ -194,21 +283,19 @@ def verify_relations(n, m, trials, seed):
     """
     reports = {r: {"relation": r, "trials": 0, "passes": 0, "counterexample": None}
                for r in ("R1", "R2", "R3")}
+    fan = Triangulation.fan(n)
     for trial in range(trials):
         rng = random.Random(seed * 1000003 + 2 * trial)
-        c = random_positive(n, m, seed * 1000003 + 2 * trial + 1)
+        p = random_chart_point(fan, m, seed * 1000003 + 2 * trial + 1)
         for rel, (lhs, rhs) in sorted(_relation_instances(rng, n).items()):
             rep = reports[rel]
             rep["trials"] += 1
-            try:
-                ok = act_word(c, lhs).same_point(act_word(c, rhs))
-            except CactusError:
-                ok = False
-            if ok:
+            if (transport(act_word(p, lhs), fan).values
+                    == transport(act_word(p, rhs), fan).values):
                 rep["passes"] += 1
             elif rep["counterexample"] is None:
                 rep["counterexample"] = {
-                    "configuration": c.to_json(),
+                    "configuration": charts_to_flags(p).to_json(),
                     "lhs": word_to_json(lhs),
                     "rhs": word_to_json(rhs),
                 }

@@ -16,10 +16,10 @@ from functools import lru_cache
 from .flags import Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_dimension, PolygonError
 from .mutation import flip_transport, transport, MutationError
-from .reconstruct import (flags_to_charts, charts_to_flags, random_positive,
+from .reconstruct import (flags_to_charts, random_positive,
                           ChartValueError)
 from .rational import scalar_str
-from .cactus import word_from_json, act_word, verify_relations, CactusError
+from .cactus import word_from_json, act_word, verify_relations
 from .axioms import check_axiom, check_glue
 
 
@@ -239,8 +239,7 @@ def _cmd_act(args):
         _emit(act_word(_load_configuration(data), word).to_json())
     else:
         p = _load_chart(data)
-        c = act_word(charts_to_flags(p), word)
-        _emit(flags_to_charts(c, p.triangulation).to_json())
+        _emit(transport(act_word(p, word), p.triangulation).to_json())
     return 0
 
 
@@ -299,7 +298,7 @@ def run(argv):
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, PolygonError, FlagError, MutationError,
-            ChartValueError, CactusError, OSError) as exc:
+            ChartValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

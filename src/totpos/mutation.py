@@ -63,7 +63,7 @@ def flip_transport(p, d):
         del values[key(i, j, k, 0)], values[key(i, 0, j, k)]
         values[key(i, j, 0, k)] = value(i, j, 0, k)
         values[key(0, i, j, k)] = value(0, i, j, k)
-    return ChartPoint._of(t.flip(d), m, values)
+    return ChartPoint._of(t._flip(a, b, c, e), m, values)
 
 
 def transport(p, target):

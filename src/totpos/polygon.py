@@ -4,6 +4,7 @@ Vertices are labeled 1..n counterclockwise.  All cyclic arithmetic on
 labels goes through the helpers here.
 """
 
+from collections import Counter
 from itertools import combinations
 
 from .rational import scalar, scalar_str
@@ -45,11 +46,15 @@ class Triangulation:
     __slots__ = ("n", "diagonals", "_triangles")
 
     def __init__(self, n, diagonals):
+        if type(n) is not int:
+            raise PolygonError("n must be an integer, got %r" % (n,))
         if n < 3:
             raise PolygonError("need at least 3 vertices")
         diags = set()
         for d in diagonals:
-            a, b = sorted(int(x) for x in d)
+            if not all(type(x) is int for x in d):
+                raise PolygonError("diagonal ends must be integers, got %r" % (d,))
+            a, b = sorted(d)
             if not (1 <= a < b <= n):
                 raise PolygonError("bad vertex pair (%d, %d)" % (a, b))
             if _is_boundary(a, b, n):
@@ -140,15 +145,18 @@ class Triangulation:
         return (q2, q3, q4, q1)
 
     def flip(self, d):
-        """Replace diagonal d by the opposite diagonal of its quadrilateral.
+        """Replace diagonal d by the opposite diagonal of its quadrilateral."""
+        return self._flip(*self.quadrilateral(d))
+
+    def _flip(self, a, b, c, e):
+        """The flip of diagonal {a, c} of quadrilateral (a, b, c, e).
 
         Only the quadrilateral changes: faces (a, b, c) and (a, c, e) on the
-        old diagonal {a, c} give way to (a, b, e) and (b, c, e), and the face
-        list stays ascending.
+        old diagonal give way to (a, b, e) and (b, c, e), and the face list
+        stays ascending.
         """
-        a, b, c, e = self.quadrilateral(d)
         gone = {tuple(sorted(f)) for f in ((a, b, c), (a, c, e))}
-        faces = [f for f in self._triangles if f not in gone]
+        faces = [f for f in self.triangles() if f not in gone]
         faces += [tuple(sorted(f)) for f in ((a, b, e), (b, c, e))]
         faces.sort()
         diagonals = (self.diagonals - {(min(a, c), max(a, c))}) | {(min(b, e), max(b, e))}
@@ -159,45 +167,45 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["n"]), data["diagonals"])
+        return cls(data["n"], data["diagonals"])
 
 
 def flip_path(t1, t2):
     """A diagonal sequence transforming t1 into t2, routed through the fan
-    at vertex 1.  Replaying the flips on t1 ends at t2."""
+    at the vertex with the most diagonals in t1 and t2 together (ties go to
+    the lowest label).  Replaying the flips on t1 ends at t2.
+
+    Each flip toward the fan adds one diagonal at its apex, so each half
+    takes n - 3 flips less the apex's diagonals in that triangulation.
+    """
     if t1.n != t2.n:
         raise PolygonError("triangulations of different polygons")
     if t1 == t2:
         return []
-    fan = Triangulation.fan(t1.n).diagonals
+    degree = Counter(v for t in (t1, t2) for d in t.diagonals for v in d)
+    apex = min(range(1, t1.n + 1), key=lambda v: (-degree[v], v))
 
     def path_to_fan(t):
-        path = []
+        """The diagonals flipped on the way from t to the fan at the apex,
+        and the diagonals each flip created."""
+        flipped, created = [], []
         while True:
-            if t.diagonals == fan:
-                return path
-            # flip any diagonal whose quadrilateral contains vertex 1
-            for d in sorted(t.diagonals):
-                if 1 in d:
-                    continue
-                if 1 in t.quadrilateral(d):
-                    path.append(d)
-                    t = t.flip(d)
-                    break
-            else:
-                raise PolygonError("no progress toward the fan")
+            # a face at the apex whose opposite side is a diagonal; when
+            # there is none, every face is at the apex: t is the fan
+            d = next((d for d in (tuple(v for v in f if v != apex)
+                                  for f in t.triangles() if apex in f)
+                      if d in t.diagonals), None)
+            if d is None:
+                return flipped, created
+            a, b, c, e = t.quadrilateral(d)
+            t = t._flip(a, b, c, e)
+            flipped.append(d)
+            created.append((min(b, e), max(b, e)))
 
-    path = path_to_fan(t1)
-    # walk t2 toward the fan recording each created diagonal; flipping those
-    # in reverse order leads from the fan back to t2
-    t = t2
-    created = []
-    for d in path_to_fan(t2):
-        _, b, _, e = t.quadrilateral(d)
-        t = t.flip(d)
-        created.append(tuple(sorted((b, e))))
-    path.extend(reversed(created))
-    return path
+    path, _ = path_to_fan(t1)
+    # flipping t2's created diagonals in reverse order leads from the fan
+    # back to t2
+    return path + path_to_fan(t2)[1][::-1]
 
 
 def chart_indices(t, m):
@@ -240,6 +248,8 @@ class ChartPoint:
     __slots__ = ("triangulation", "m", "values")
 
     def __init__(self, triangulation, m, values):
+        if type(m) is not int:
+            raise PolygonError("m must be an integer, got %r" % (m,))
         keys = chart_indices(triangulation, m)
         values = {tuple(k): scalar(v) for k, v in values.items()}
         if sorted(values) != keys:
@@ -286,7 +296,7 @@ class ChartPoint:
             raise PolygonError("chart values must be an object keyed by chart indices")
         values = {tuple(int(x) for x in k.split(",")): scalar(v)
                   for k, v in data["values"].items()}
-        return cls(t, int(data["m"]), values)
+        return cls(t, data["m"], values)
 
 
 def edge_values(config, a, b, m):

@@ -275,12 +275,21 @@ def inverse_transpose(a):
 def cofactor_vector(rows, pos):
     """The vector c with det(rows[:pos] + [x] + rows[pos:]) = x . c for all x.
 
-    ``rows`` holds m - 1 >= 1 rows of length m.  With R the cleared rows,
-    det([R; e_t]) = det([R^T | e_t]), and these m matrices share their
-    first m - 1 columns, so one elimination of [R^T | I] on those columns
-    leaves every probe determinant in its last row.
+    ``rows`` holds m - 1 >= 1 rows of length m.
     """
     int_rows, scales = _integer_clearing(rows)
+    return _cofactor_cleared(int_rows, scales[-1], pos)
+
+
+def _cofactor_cleared(int_rows, scale, pos):
+    """cofactor_vector of the rows whose integer clearing is (int_rows,
+    scale).
+
+    With R the cleared rows, det([R; e_t]) = det([R^T | e_t]), and these m
+    matrices share their first m - 1 columns, so one elimination of
+    [R^T | I] on those columns leaves every probe determinant in its last
+    row.
+    """
     m = len(int_rows) + 1
     aug = [list(col) + [int(i == t) for t in range(m)]
            for i, col in enumerate(zip(*int_rows))]
@@ -290,4 +299,4 @@ def cofactor_vector(rows, pos):
         return (Fraction(0),) * m
     # moving the probe row from position pos to the end takes m-1-pos swaps
     sign *= (-1) ** (m - 1 - pos)
-    return tuple(Fraction(sign * v, scales[-1]) for v in aug[m - 1][m - 1:])
+    return tuple(Fraction(sign * v, scale) for v in aug[m - 1][m - 1:])

@@ -11,7 +11,8 @@ the dual tree of the triangulation.
 import random
 from fractions import Fraction
 
-from .rational import Mat, solve, scalar_str, cofactor_vector
+from .rational import (Mat, solve, scalar_str, cofactor_vector,
+                       _integer_clearing, _cofactor_cleared)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, PolygonError
 
@@ -110,10 +111,12 @@ def charts_to_flags(p):
     for tri, new_vertex in _dual_tree_order(t):
         if new_vertex is None:
             new_vertex = tri[2]  # root: vertices 1 and 2 are pinned above
-        known = [v for v in tri if v != new_vertex]
+        # the known flags' rows are cleared to integers once per new vertex
+        cleared = {v: _integer_clearing(rows_at[v]) for v in tri if v != new_vertex}
         rows_at[new_vertex] = []
         for trow in range(1, m):
-            _solve_row(rows_at, tri, known, new_vertex, trow, m, value)
+            cleared[new_vertex] = _integer_clearing(rows_at[new_vertex])
+            _solve_row(rows_at[new_vertex], cleared, tri, new_vertex, trow, m, value)
 
     flags = []
     for v in range(1, n + 1):
@@ -124,39 +127,38 @@ def charts_to_flags(p):
     return Configuration(flags)
 
 
-def _solve_row(rows_at, tri, known, new_vertex, trow, m, value):
-    """Determine row ``trow`` of the flag at ``new_vertex``.
+def _solve_row(rows, cleared, tri, new_vertex, trow, m, value):
+    """Determine row ``trow`` of the flag at ``new_vertex`` and append it to
+    ``rows``, the rows of that flag determined so far.
 
-    The chart values with weight trow at the new vertex give m - trow + 1
-    linear conditions on the row; Euclidean orthogonality to the already
-    determined rows of the same flag supplies the remaining trow - 1 and
-    fixes the coset representative.
+    ``cleared`` maps each vertex of the ascending triangle ``tri`` to the
+    integer clearing of its known rows.  The chart values with weight trow
+    at the new vertex give m - trow + 1 linear conditions on the row;
+    Euclidean orthogonality to the already determined rows of the same flag
+    supplies the remaining trow - 1 and fixes the coset representative.
     """
-    u, v = known
+    u, v = (w for w in tri if w != new_vertex)
     lhs = []
     rhs = []
     for i in range(0, m - trow + 1):
-        j = m - trow - i
-        weights = {u: i, v: j, new_vertex: trow}
+        weights = {u: i, v: m - trow - i, new_vertex: trow}
         # stack blocks in ascending vertex order; the unknown row is the
         # last row of the new vertex's block, and the determinant is linear
         # in it with the cofactor vector as coefficients
-        rows = []
-        unknown_pos = None
-        for w in sorted(tri):
-            wt = weights.get(w, 0)
+        ints = []
+        scale = 1
+        for w in tri:
+            k = weights[w] - (w == new_vertex)
+            ints.extend(cleared[w][0][:k])
+            scale *= cleared[w][1][k]
             if w == new_vertex:
-                rows.extend(rows_at[w][:trow - 1])
-                unknown_pos = len(rows)
-            elif wt:
-                rows.extend(rows_at[w][:wt])
-        lhs.append(cofactor_vector(rows, unknown_pos))
+                unknown_pos = len(ints)
+        lhs.append(_cofactor_cleared(ints, scale, unknown_pos))
         rhs.append(value(weights))
-    for prev in rows_at[new_vertex]:
+    for prev in rows:
         lhs.append(list(prev))
         rhs.append(Fraction(0))
-    row = solve(Mat(lhs), rhs)
-    rows_at[new_vertex].append(list(row))
+    rows.append(list(solve(Mat(lhs), rhs)))
 
 
 def random_positive(n, m, seed, bound=20):

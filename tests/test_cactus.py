@@ -1,14 +1,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totpos.flags import theta, iota, face, Configuration, sign_normalize, relabel
+from totpos.flags import (theta, iota, face, Configuration, sign_normalize, relabel,
+                          admissible_indices)
 from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
-                           verify_relations, _adapted_triangulation)
-from totpos.reconstruct import random_positive, charts_to_flags, flags_to_charts
+                           verify_relations, _adapted_triangulation,
+                           _reversal_program, _reverse_triangle)
+from totpos.mutation import transport
+from totpos.reconstruct import (random_positive, random_chart_point,
+                                charts_to_flags, flags_to_charts)
 import totpos.cactus as cactus_module
+import totpos.rational as rational
+
+from conftest import triangulations
 
 
 def _act_generator_reference(c, g):
@@ -199,3 +206,79 @@ def test_verify_relations_serializes_counterexamples(monkeypatch):
         assert cex is not None
         assert set(cex) == {"configuration", "lhs", "rhs"}
         Configuration.from_json(cex["configuration"])
+
+
+@st.composite
+def chart_points_and_words(draw):
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(2, 5))
+    p = random_chart_point(draw(triangulations(n)), m, draw(st.integers(0, 10 ** 6)))
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, n))
+        word.append(IntervalGen(q, (q + draw(st.integers(2, n)) - 2) % n + 1))
+    return p, word
+
+
+@settings(deadline=None, max_examples=25)
+@given(chart_points_and_words())
+def test_chart_word_matches_flag_level_reference(case):
+    p, word = case
+    ref = charts_to_flags(p)
+    for g in word:
+        ref = _act_generator_reference(ref, g)
+    out = act_word(p, word)
+    assert isinstance(out, ChartPoint)
+    # the library's own checks accept the trusted result
+    assert ChartPoint(out.triangulation, out.m, out.values) == out
+    assert [f.rep for f in charts_to_flags(out).flags] == [f.rep for f in ref.flags]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 6), st.integers(0, 10 ** 6))
+def test_exchange_program_is_theta_on_triangle_interiors(m, seed):
+    c = charts_to_flags(random_chart_point(Triangulation.fan(3), m, seed))
+    pts = admissible_indices(3, m)
+    x = [c.delta(w) for w in pts]
+    _reverse_triangle(x, m)
+    after = dict(zip(pts, x))
+    rev = theta(c)
+    for i, j, k in pts:
+        if i and j and k:
+            assert rev.delta((i, j, k)) == after[j, k, i]
+    assert len(_reversal_program(m)) == m * (m - 1) * (m - 2) // 6
+
+
+def test_chart_action_runs_no_elimination(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("elimination on the chart-level action path")
+
+    points = [random_chart_point(Triangulation.fan(6), m, 7 * m) for m in range(2, 6)]
+    monkeypatch.setattr(rational, "_bareiss", no_elimination)
+    for p in points:
+        for g in (IntervalGen(2, 4), IntervalGen(5, 2), IntervalGen(1, 6), IntervalGen(3, 4)):
+            out = act_generator(p, g)
+            assert out.triangulation == _adapted_triangulation(6, g.interval(6))
+            assert all(v > 0 for v in out.values.values())
+            back = transport(act_generator(out, g), p.triangulation)
+            assert back == p
+
+
+def test_configuration_word_is_converted_once_each_way(monkeypatch):
+    c = random_positive(6, 3, 11)
+    calls = []
+    for name in ("charts_to_flags", "flags_to_charts"):
+        real = getattr(cactus_module, name)
+        monkeypatch.setattr(cactus_module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    out = act_word(c, [IntervalGen(1, 3), IntervalGen(2, 5), IntervalGen(4, 1)])
+    assert isinstance(out, Configuration)
+    assert sorted(calls) == ["charts_to_flags", "flags_to_charts"]
+    assert act_word(c, []) is c
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(4, 7), st.integers(2, 4), st.integers(0, 10 ** 6))
+def test_relations_hold_at_random_sizes(n, m, seed):
+    for r in verify_relations(n, m, 1, seed):
+        assert r["passes"] == r["trials"], r

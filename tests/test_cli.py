@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -145,6 +146,28 @@ def test_malformed_chart_values_exit_two(args, bad):
     assert "error" in json.loads(out.stderr)
 
 
+def _with_non_integer(chart, field):
+    data = json.loads(chart)
+    if field == "m":
+        data["m"] = 2.9
+    elif field == "n":
+        data["triangulation"]["n"] = 5.5
+    else:
+        data["triangulation"]["diagonals"][0] = [1, 3.7]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("field", ["m", "n", "diagonal end"])
+def test_non_integer_chart_sizes_exit_two(field):
+    # int() would truncate 2.9, 5.5 and 3.7 to a valid chart
+    _, cfg = run_cli(["gen", "5", "2", "--seed", "1"])
+    _, chart = run_cli(["charts", "-"], cfg)
+    out = run_totpos(["flip", "-", "--diagonal", "1-3"], _with_non_integer(chart, field))
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
 @pytest.mark.parametrize("args", [["delta", "-", "--index", "1,1,0,0"],
                                   ["act", "-", "--word", "[[1,3]]"]])
 def test_zero_denominator_in_flag_exits_two(args):
@@ -221,3 +244,40 @@ def test_console_script_end_to_end():
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["totpos"] == "totpos.cli:main"
     assert totpos_main.main is cli.main
+
+
+# sha256 of the act stdout on a configuration and on its fan chart, for
+# `gen N M --seed S | [charts - |] act - --word W`, recorded from the
+# flag-level action that the chart-level one replaced
+GOLDEN_ACT = [
+    (6, 3, 1, "[[1,6]]",
+     "757c8c7738907430e905201846864ec48c83ca1bee85326d5cd6f985fbfe70d3",
+     "f381efd3959cbae67badea0921b3bf7485d635426d9c5d09655546512e4e11fb"),
+    (6, 3, 2, "[[3,2]]",
+     "a693f4bef190773e0a8239ea139128b45cf48be2d3d4815079cd04295bef3e63",
+     "8879c7c3ef03540433526199c5b67e3ba27732d1968829aefd83d824a5499f2c"),
+    (8, 3, 1, "[[8,1]]",
+     "5b3037ed7bb551f73c77447637a219b74e6caa9606d725aa0785cd17f779506c",
+     "1d769188d88d4730e914abf7376169e32364aecffc6a01ccca19ebfb7b8e1c07"),
+    (8, 3, 2, "[[2,5],[1,6]]",
+     "e55875a8a778b574a96f8be2eb893890800e59673604433ae83e9b2724399a1a",
+     "d205798d54ea9ae63696787355df92a4e28f2292aaf4ee48e54c64f7ad96d331"),
+    (7, 4, 1, "[[2,4]]",
+     "e3f6292241ba3b9ac48364126ccd8b0b946e6ac767a48bea9b36e33b0ffb47ed",
+     "9dc48183057766599974a13ed7be238feef5848e393d175620902517ea582312"),
+    (7, 4, 3, "[[1,2],[2,7]]",
+     "775a4e1e8d21f73e7a5b09d1e9fe94aaab4a896d951657334d8834625f082fb2",
+     "8c6a10cedb363d2ce8064fb34f569b321ec6bd7b9ccbd7ddd4dedf3c88a4d325"),
+]
+
+
+@pytest.mark.parametrize("n,m,seed,word,on_config,on_chart", GOLDEN_ACT)
+def test_act_stdout_matches_recorded_digests(n, m, seed, word, on_config, on_chart):
+    code, cfg = run_cli(["gen", str(n), str(m), "--seed", str(seed)])
+    assert code == 0
+    code, chart = run_cli(["charts", "-"], cfg)
+    assert code == 0
+    for stdin, digest in ((cfg, on_config), (chart, on_chart)):
+        code, out = run_cli(["act", "-", "--word", word], stdin)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

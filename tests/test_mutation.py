@@ -192,3 +192,16 @@ def test_transport_raises_when_the_path_misses_the_target(monkeypatch):
     monkeypatch.setattr(mutation, "flip_path", lambda t1, t2: [])
     with pytest.raises(MutationError):
         transport(p, Triangulation.fan(5, apex=3))
+
+
+def test_transport_finds_each_quadrilateral_once_per_flip(monkeypatch):
+    p = random_chart_point(random_triangulation(10, 4), 3, 9)
+    target = random_triangulation(10, 5)
+    flips = len(mutation.flip_path(p.triangulation, target))
+    calls = []
+    real = Triangulation.quadrilateral
+    monkeypatch.setattr(Triangulation, "quadrilateral",
+                        lambda t, d: calls.append(d) or real(t, d))
+    transport(p, target)
+    # once to find the flips along the path, once to transport across them
+    assert len(calls) == 2 * flips

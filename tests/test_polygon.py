@@ -24,6 +24,18 @@ def test_triangulation_validation():
         Triangulation(4, [(1, 5)])  # out of range
 
 
+def test_non_integer_sizes_are_rejected():
+    # int() would truncate each of these to a valid size or label
+    for n, diagonals in [(5.5, [(1, 3), (1, 4)]), (5, [(1, 3.7), (1, 4)]),
+                         (True, []), (4, [(1, "3")])]:
+        with pytest.raises(PolygonError):
+            Triangulation(n, diagonals)
+    t = Triangulation.fan(4)
+    values = {idx: 1 for idx in chart_indices(t, 2)}
+    with pytest.raises(PolygonError):
+        ChartPoint(t, 2.0, values)
+
+
 def test_fan_and_triangles():
     t = Triangulation.fan(6)
     assert t.diagonals == frozenset({(1, 3), (1, 4), (1, 5)})
@@ -58,6 +70,30 @@ def test_flip_path_replay():
                 t = t.flip(d)
             assert t == t2
     assert flip_path(Triangulation.fan(5), Triangulation.fan(5)) == []
+
+
+def _degree(t, v):
+    return sum(v in d for d in t.diagonals)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(4, 12).flatmap(lambda n: st.tuples(triangulations(n), triangulations(n))))
+def test_flip_path_routes_through_the_busiest_fan(pair):
+    t1, t2 = pair
+    n = t1.n
+    path = flip_path(t1, t2)
+    t = t1
+    for d in path:
+        t = t.flip(d)
+    assert t == t2
+    if t1 != t2:
+        # each half takes n - 3 - deg flips at the best apex, and never more
+        # than the route through the fan at vertex 1
+        best = max(_degree(t1, v) + _degree(t2, v) for v in range(1, n + 1))
+        assert len(path) == 2 * (n - 3) - best
+        assert len(path) <= 2 * (n - 3) - _degree(t1, 1) - _degree(t2, 1)
+    for p in range(1, n + 1):
+        assert len(flip_path(t1, Triangulation.fan(n, p))) == n - 3 - _degree(t1, p)
 
 
 def test_chart_dimension_formula():
