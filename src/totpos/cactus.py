@@ -35,8 +35,7 @@ from functools import lru_cache
 from math import prod
 
 from .flags import admissible_indices
-from .polygon import (Triangulation, ChartPoint, cyclic_interval,
-                      _is_boundary, PolygonError)
+from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError
 from .mutation import transport
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
@@ -109,16 +108,7 @@ def _adapted_triangulation(n, iv):
     """A triangulation cutting along {p, q}: inside fan at q, outside fan
     at p."""
     p, q = iv[0], iv[-1]
-    diags = set()
-    if not _is_boundary(p, q, n):
-        diags.add(tuple(sorted((p, q))))
-    for v in iv[1:-1]:
-        if not _is_boundary(q, v, n):
-            diags.add(tuple(sorted((q, v))))
-    for v in cyclic_interval(q, p, n)[1:-1]:
-        if not _is_boundary(p, v, n):
-            diags.add(tuple(sorted((p, v))))
-    return Triangulation(n, diags)
+    return Triangulation._of_fans(n, [(q, iv[:-1]), (p, cyclic_interval(q, p, n)[:-1])])
 
 
 @lru_cache(maxsize=None)

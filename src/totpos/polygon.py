@@ -82,12 +82,23 @@ class Triangulation:
         return t
 
     @classmethod
+    def _of_fans(cls, n, fans):
+        """The triangulation whose faces are (a, u, v) for each (a, path) in
+        ``fans`` and each consecutive u, v on the path, without checking;
+        the fans must tile the polygon."""
+        faces = sorted(tuple(sorted((a, u, v)))
+                       for a, path in fans for u, v in zip(path, path[1:]))
+        diagonals = frozenset(e for f in faces for e in combinations(f, 2)
+                              if not _is_boundary(*e, n))
+        return cls._of(n, diagonals, faces)
+
+    @classmethod
     def fan(cls, n, apex=1):
-        diags = []
-        for v in range(1, n + 1):
-            if v != apex and not _is_boundary(apex, v, n):
-                diags.append((min(apex, v), max(apex, v)))
-        return cls(n, diags)
+        """The triangulation whose diagonals all end at ``apex``."""
+        if type(n) is not int or n < 3 or not 1 <= apex <= n:
+            raise PolygonError("no fan at vertex %r of the %r-gon" % (apex, n))
+        return cls._of_fans(n, [(apex, cyclic_interval(
+            cyclic_succ(apex, n), (apex - 2) % n + 1, n))])
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
@@ -294,8 +305,14 @@ class ChartPoint:
         t = Triangulation.from_json(data["triangulation"])
         if not isinstance(data["values"], dict):
             raise PolygonError("chart values must be an object keyed by chart indices")
-        values = {tuple(int(x) for x in k.split(",")): scalar(v)
-                  for k, v in data["values"].items()}
+        values = {}
+        for k, v in data["values"].items():
+            idx = tuple(int(x) for x in k.split(","))
+            # one spelling per index, so no value can shadow another
+            form = ",".join(map(str, idx))
+            if k != form:
+                raise PolygonError("chart index %r is not in the form %r" % (k, form))
+            values[idx] = scalar(v)
         return cls(t, data["m"], values)
 
 

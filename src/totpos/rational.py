@@ -278,12 +278,13 @@ def cofactor_vector(rows, pos):
     ``rows`` holds m - 1 >= 1 rows of length m.
     """
     int_rows, scales = _integer_clearing(rows)
-    return _cofactor_cleared(int_rows, scales[-1], pos)
+    # moving the probe row from the end to position pos takes m-1-pos swaps
+    sign = (-1) ** (len(rows) - pos)
+    return tuple(Fraction(sign * v, scales[-1]) for v in _cofactor_ints(int_rows))
 
 
-def _cofactor_cleared(int_rows, scale, pos):
-    """cofactor_vector of the rows whose integer clearing is (int_rows,
-    scale).
+def _cofactor_ints(int_rows):
+    """The integer vector c with det(int_rows + [x]) = x . c for all x.
 
     With R the cleared rows, det([R; e_t]) = det([R^T | e_t]), and these m
     matrices share their first m - 1 columns, so one elimination of
@@ -296,7 +297,5 @@ def _cofactor_cleared(int_rows, scale, pos):
     try:
         sign = _bareiss(aug, m - 1)
     except SingularMatrixError:
-        return (Fraction(0),) * m
-    # moving the probe row from position pos to the end takes m-1-pos swaps
-    sign *= (-1) ** (m - 1 - pos)
-    return tuple(Fraction(sign * v, scale) for v in aug[m - 1][m - 1:])
+        return [0] * m
+    return [sign * v for v in aug[m - 1][m - 1:]]

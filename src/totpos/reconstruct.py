@@ -2,19 +2,22 @@
 
 flags_to_charts reads the chart coordinates off a configuration.
 charts_to_flags rebuilds a gauge-fixed configuration from positive chart
-values: the first two flags are pinned explicitly (standard flag and a
-scaled antidiagonal flag matched to the edge values), and every further
-flag is solved row by row from the chart values of its triangle, walking
-the dual tree of the triangulation.
+values on the fan at vertex 1, transporting a point on any other
+triangulation there first.  The first two flags are pinned explicitly
+(standard flag and a scaled antidiagonal flag matched to the {1, 2} edge
+values), and flag v = 3..n is solved row by row from the chart values of
+the fan triangle (1, v-1, v).  Each row solve is one integer system, and
+the row's Fractions are formed once, from its solution.
 """
 
 import random
 from fractions import Fraction
 
-from .rational import (Mat, solve, scalar_str, cofactor_vector,
-                       _integer_clearing, _cofactor_cleared)
+from .rational import (Mat, scalar_str, _clear_row, _integer_clearing,
+                       _cofactor_ints, _solve_cleared)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, PolygonError
+from .mutation import transport
 
 
 class ChartValueError(ValueError):
@@ -38,127 +41,88 @@ def flags_to_charts(config, t):
         if v <= 0:
             raise ChartValueError(idx, v)
         values[idx] = v
-    return ChartPoint(t, config.m, values)
-
-
-def _dual_tree_order(t):
-    """Triangles of ``t`` in BFS order from the triangle on edge {1, 2},
-    with, for each non-root triangle, its vertex not shared with earlier
-    triangles."""
-    tris = t.triangles()
-    root = next(tri for tri in tris if 1 in tri and 2 in tri)
-    seen_vertices = set(root)
-    order = [(root, None)]
-    remaining = [tri for tri in tris if tri != root]
-    while remaining:
-        for tri in remaining:
-            new = [v for v in tri if v not in seen_vertices]
-            if len(new) == 1:
-                order.append((tri, new[0]))
-                seen_vertices.add(new[0])
-                remaining.remove(tri)
-                break
-        else:
-            raise PolygonError("disconnected dual graph")
-    return order
-
-
-def _weights_index(n, weights):
-    idx = [0] * n
-    for v, w in weights.items():
-        idx[v - 1] = w
-    return tuple(idx)
-
-
-def _complete_last_row(rows, m):
-    """Append a final row making the determinant exactly 1, canonically.
-
-    The cofactor vector c of the m-1 given rows satisfies det(rows + [x]) =
-    x . c; the completion c / (c . c) is rational and basis-free.
-    """
-    cof = cofactor_vector(rows, m - 1)
-    norm = sum(x * x for x in cof)
-    return [x / norm for x in cof]
+    return ChartPoint._of(t, config.m, values)
 
 
 def charts_to_flags(p):
     """Gauge-fixed configuration with the given positive chart coordinates.
 
     Exact round trip: flags_to_charts(charts_to_flags(p), p.triangulation)
-    returns p value for value.  The representatives depend only on the
-    point, so every chart of one point rebuilds the same flags.
+    returns p value for value.  The point is read on the fan at vertex 1,
+    so the representatives depend only on the point, and every chart of
+    one point rebuilds the same flags.
     """
-    t = p.triangulation
-    n, m = t.n, p.m
-
-    def value(weights):
-        return p.values[_weights_index(n, weights)]
-
-    rows_at = {}  # vertex -> list of determined rows
+    n, m = p.triangulation.n, p.m
+    values = transport(p, Triangulation.fan(n)).values
 
     # vertex 1: the standard flag
-    rows_at[1] = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    standard = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    first = _integer_clearing(standard)
 
     # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
-    rows_at[2] = []
+    rows = []
     prod = Fraction(1)
     for j in range(1, m):
-        target = (-1) ** (j * (j - 1) // 2) * value({1: m - j, 2: j})
+        target = (-1) ** (j * (j - 1) // 2) * values[(m - j, j) + (0,) * (n - 2)]
         lam = target / prod
         prod = target
-        rows_at[2].append([lam if c == m - j else Fraction(0) for c in range(m)])
+        rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
+    known = _integer_clearing(rows)
 
-    for tri, new_vertex in _dual_tree_order(t):
-        if new_vertex is None:
-            new_vertex = tri[2]  # root: vertices 1 and 2 are pinned above
-        # the known flags' rows are cleared to integers once per new vertex
-        cleared = {v: _integer_clearing(rows_at[v]) for v in tri if v != new_vertex}
-        rows_at[new_vertex] = []
-        for trow in range(1, m):
-            cleared[new_vertex] = _integer_clearing(rows_at[new_vertex])
-            _solve_row(rows_at[new_vertex], cleared, tri, new_vertex, trow, m, value)
-
-    flags = []
-    for v in range(1, n + 1):
-        rows = rows_at[v]
-        if len(rows) < m:
-            rows = rows + [_complete_last_row(rows, m)]
-        flags.append(DecoratedFlag(Mat(rows)).unimodularize())
-    return Configuration(flags)
+    flags = [standard, rows + [_completion(known)]]
+    for v in range(3, n + 1):
+        rows, known = _solve_flag(values, n, v, first, known, m)
+        flags.append(rows + [_completion(known)])
+    return Configuration([DecoratedFlag(Mat._of(tuple(map(tuple, f))))
+                          for f in flags])
 
 
-def _solve_row(rows, cleared, tri, new_vertex, trow, m, value):
-    """Determine row ``trow`` of the flag at ``new_vertex`` and append it to
-    ``rows``, the rows of that flag determined so far.
+def _completion(known):
+    """The final row making det exactly 1, canonically, for the m - 1 rows
+    whose integer clearing is ``known``.
 
-    ``cleared`` maps each vertex of the ascending triangle ``tri`` to the
-    integer clearing of its known rows.  The chart values with weight trow
-    at the new vertex give m - trow + 1 linear conditions on the row;
-    Euclidean orthogonality to the already determined rows of the same flag
-    supplies the remaining trow - 1 and fixes the coset representative.
+    With C the integer cofactor vector of the cleared rows and s their
+    scale, c = C / s satisfies det(rows + [x]) = x . c, and the completion
+    c / (c . c) = C s / (C . C) is rational and basis-free.
     """
-    u, v = (w for w in tri if w != new_vertex)
-    lhs = []
-    rhs = []
-    for i in range(0, m - trow + 1):
-        weights = {u: i, v: m - trow - i, new_vertex: trow}
-        # stack blocks in ascending vertex order; the unknown row is the
-        # last row of the new vertex's block, and the determinant is linear
-        # in it with the cofactor vector as coefficients
-        ints = []
-        scale = 1
-        for w in tri:
-            k = weights[w] - (w == new_vertex)
-            ints.extend(cleared[w][0][:k])
-            scale *= cleared[w][1][k]
-            if w == new_vertex:
-                unknown_pos = len(ints)
-        lhs.append(_cofactor_cleared(ints, scale, unknown_pos))
-        rhs.append(value(weights))
-    for prev in rows:
-        lhs.append(list(prev))
-        rhs.append(Fraction(0))
-    rows.append(list(solve(Mat(lhs), rhs)))
+    ints, scales = known
+    cof = _cofactor_ints(ints)
+    norm = sum(x * x for x in cof)
+    return [Fraction(x * scales[-1], norm) for x in cof]
+
+
+def _solve_flag(values, n, v, first, prev, m):
+    """The first m - 1 rows of flag v, and their integer clearing, from the
+    fan chart ``values`` on the triangle (1, v-1, v).
+
+    ``first`` and ``prev`` are the integer clearings (int rows, prefix
+    scales) of flags 1 and v - 1.  The chart values with weight k at v give
+    m - k + 1 linear conditions on row k; Euclidean orthogonality to the
+    earlier rows of flag v supplies the remaining k - 1 and fixes the coset
+    representative.
+    """
+    rows, ints, scales = [], [], [1]
+    for k in range(1, m):
+        system = []
+        for i in range(m - k + 1):
+            j = m - k - i
+            # stacked in ascending vertex order, the unknown row x is last,
+            # and the determinant is x . C / scale for the integer cofactor
+            # vector C; equal to the chart value a / b, it gives
+            # x . (b C) = a scale
+            cof = _cofactor_ints(first[0][:i] + prev[0][:j] + ints)
+            scale = first[1][i] * prev[1][j] * scales[-1]
+            value = values[(i,) + (0,) * (v - 3) + (j, k) + (0,) * (n - v)]
+            system.append([value.denominator * c for c in cof]
+                          + [value.numerator * scale])
+        system.extend(r + [0] for r in ints)
+        y, d = _solve_cleared(system, m)
+        row = [Fraction(yi[0], d) for yi in y]
+        r, s = _clear_row(row)
+        rows.append(row)
+        ints.append(r)
+        scales.append(scales[-1] * s)
+    return rows, (ints, scales)
 
 
 def random_positive(n, m, seed, bound=20):

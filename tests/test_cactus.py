@@ -282,3 +282,21 @@ def test_configuration_word_is_converted_once_each_way(monkeypatch):
 def test_relations_hold_at_random_sizes(n, m, seed):
     for r in verify_relations(n, m, 1, seed):
         assert r["passes"] == r["trials"], r
+
+
+def test_adapted_triangulations_match_the_public_constructor():
+    """The closed-form adapted triangulation of every interval has the
+    diagonals and the face list, in order, of the validated triangulation
+    on its chords: q to the interval, p to its complement."""
+    for n in range(3, 13):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                if p == q:
+                    continue
+                iv = cyclic_interval(p, q, n)
+                t = _adapted_triangulation(n, iv)
+                chords = [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)]
+                public = Triangulation(n, {tuple(sorted(c)) for c in chords
+                                           if (c[0] - c[1]) % n not in (0, 1, n - 1)})
+                assert t.diagonals == public.diagonals
+                assert t.triangles() == public.triangles()

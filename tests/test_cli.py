@@ -281,3 +281,65 @@ def test_act_stdout_matches_recorded_digests(n, m, seed, word, on_config, on_cha
         code, out = run_cli(["act", "-", "--word", word], stdin)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spellings", [{"00,0,1,1": "999", " 0 ,0 ,1 ,1": "5"},
+                                       {"0,+0,1,1": "5/19"}])
+def test_chart_index_spellings_exit_two(spellings):
+    # each key parses to the index (0, 0, 1, 1); only "0,0,1,1" is its form
+    _, cfg = run_cli(["gen", "4", "2", "--seed", "1"])
+    _, chart = run_cli(["charts", "-"], cfg)
+    data = json.loads(chart)
+    if len(spellings) == 1:
+        del data["values"]["0,0,1,1"]
+    data["values"].update(spellings)
+    out = run_totpos(["flip", "-", "--diagonal", "1-3"], json.dumps(data))
+    assert out.returncode == 2, out.stdout
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
+# sha256 of the `gen N M --seed 1` stdout, recorded from the reconstruction
+# that walked the dual tree of the chart's triangulation; the digests pin
+# the gauge, which the `act` digests above do not see
+GOLDEN_GEN = [
+    (3, 2, "645e284473efe5ebb793a28eab8ce08161da9cc8fd476780a6e8f0aef7e4527e"),
+    (3, 3, "b231e6244727f6e42ee4225b659109f5598cbf6e2ba97c098700790e9b0fd890"),
+    (3, 4, "babc359c8bb3cf7e0c5f2daa1277dc7db75d7712452df49c10350dd8a6b5f12e"),
+    (3, 5, "718e38ee5b06a3158514901efe4337b53ba71742bef663da2952fb355822f867"),
+    (4, 2, "4ab8042e1f012f1fe1a481382b3e1fab76564466abff9a5bf4932c2523e3d9ac"),
+    (4, 3, "21bea8e77a3b3cb112da52c3a833bbc4c70331bd71b9cd230f5da765bc32556f"),
+    (4, 4, "b2bff099ec73a5ba11fc180c09af52e61cc1ba3c74985b76495c0de8e63d5aed"),
+    (4, 5, "5bfa51e186ce38136722bb95327d0572087fa46fe54e88189218d32c33bc8ba0"),
+    (5, 2, "ed9eef609eb9011cd8d282392feb91dfbd32c60150cd674f8eaf460b79285123"),
+    (5, 3, "dc8f5c146241918c72b13290f19f1b1a84ba3dea6570dec3662f6c2e2349619c"),
+    (5, 4, "73230f6e1c4efc295df761807f3a5a25c1af5e594c238c067debba50952c9a83"),
+    (5, 5, "631accdf7abacfdd2473d25e671b057d8b207a1cb19d4ade09cc1033369dfa45"),
+    (6, 2, "6c9a0f9b5870c841f4a3b4f8596997490b79fb325608e00b84fc6ed84cb3ef39"),
+    (6, 3, "015b0268f1cdc7a22fd69db27d29c8c29ade863d40cae4c09e2e089c2ce23d6b"),
+    (6, 4, "4f2e03a722becf292cca4b1b3514949c91cf5e5e487055de3c6d0bab92b603f1"),
+    (6, 5, "654590e51c9b4538578475df9a8009837c1ed41df98c10ec5e40c08025a94811"),
+    (7, 2, "fea059690269feab5a2557cf4d6e5284f353b55a3f44796b2f1ab70191112356"),
+    (7, 3, "07b7c5a99b662363739284798ce52428cfa494abdaf94e0e40b1d7b41192ffa5"),
+    (7, 4, "687d99824f866248f14f26c0b2b0b5f1ab0d2875359f363d1839721d65b47df6"),
+    (7, 5, "d5c808a24bb70f8c529b9e089ff21db650d7057357de62d2a8da7f3ad0e30374"),
+    (8, 2, "01091081fa6bc2fbcfe1a7047c4d53a9ab283ae45e245e6af6d10760394bf452"),
+    (8, 3, "5b3037ed7bb551f73c77447637a219b74e6caa9606d725aa0785cd17f779506c"),
+    (8, 4, "29895abee14685fe6e1b2cfee1b6eb8e688f7030c050b5396562ab550c802f4f"),
+    (8, 5, "96c4521848a71e3c2261598edbc5ee6e5af803b7b91755ba3bd369f1f4041361"),
+    (9, 2, "da50c8a82cfa7898d8a67df54ee9df657ba9839af39c58f8503be7d947e69086"),
+    (9, 3, "55194f86b2e610b30d9d659fecd1d2f61b367a772e150d79780a1edb496eac0a"),
+    (9, 4, "11b8e353579f6990491e12c5391fdfda9d8cedc3d3c5eca7a8babd9e35562fee"),
+    (9, 5, "c0e7320a41e070641639762d2972ccec97bdd5374eee66407d6105d4a6099330"),
+    (10, 2, "940b959041f0a3eba686c38c944af8d8ba5691119a65745d5c81979146da71d6"),
+    (10, 3, "2aad7fadc099f6b176df6252d004a10370fc392f22850bcadce6f4334118102a"),
+    (10, 4, "4ffbebfa56ff6c99b4c8d6d40952eb206db1658e05ab0c1260b4095a7c125657"),
+    (10, 5, "03d642399c2a2eda4f9eb747035a2cd2de13e27f1a559235523d6672c672fdc2"),
+]
+
+
+@pytest.mark.parametrize("n,m,digest", GOLDEN_GEN)
+def test_gen_stdout_matches_recorded_digests(n, m, digest):
+    code, out = run_cli(["gen", str(n), str(m), "--seed", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

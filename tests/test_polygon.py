@@ -44,6 +44,25 @@ def test_fan_and_triangles():
     assert t2.diagonals == frozenset({(3, 5), (3, 6), (1, 3)})
 
 
+def _adjacent_or_equal(a, b, n):
+    return (a - b) % n in (0, 1, n - 1)
+
+
+def test_fans_match_the_public_constructor():
+    """The closed-form fan at every apex has the diagonals and the face
+    list, in order, of the validated triangulation on its chords."""
+    for n in range(3, 13):
+        for apex in range(1, n + 1):
+            t = Triangulation.fan(n, apex)
+            public = Triangulation(n, [(apex, v) for v in range(1, n + 1)
+                                       if not _adjacent_or_equal(apex, v, n)])
+            assert t.diagonals == public.diagonals
+            assert t.triangles() == public.triangles()
+    for n, apex in [(2, 1), (5.0, 1), (5, 0), (5, 6)]:
+        with pytest.raises(PolygonError):
+            Triangulation.fan(n, apex)
+
+
 def test_cyclic_helpers():
     assert cyclic_interval(5, 2, 6) == [5, 6, 1, 2]
     assert chords_cross((1, 3), (2, 4), 5)

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totpos.rational import Mat
+from totpos.flags import DecoratedFlag
 from totpos.polygon import Triangulation, ChartPoint, chart_indices
+from totpos.mutation import transport
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point,
                                 ChartValueError)
 
-from conftest import random_triangulation
+from conftest import random_triangulation, triangulations
 
 
 def test_charts_to_flags_to_charts_is_value_identity():
@@ -40,6 +43,33 @@ def test_reconstruction_depends_only_on_the_point():
         for seed in range(3):
             again = charts_to_flags(flags_to_charts(c, random_triangulation(n, seed)))
             assert [f.rep for f in again.flags] == [f.rep for f in c.flags]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(triangulations(n), triangulations(n))),
+       st.integers(2, 5), st.integers(0, 2 ** 32))
+def test_chart_round_trip_on_drawn_triangulations(pair, m, seed):
+    """The round trip is the identity on any triangulation, and the same
+    point given on a second one rebuilds the same representatives."""
+    t, t2 = pair
+    p = random_chart_point(t, m, seed)
+    c = charts_to_flags(p)
+    assert flags_to_charts(c, t) == p
+    again = charts_to_flags(transport(p, t2))
+    assert [f.rep for f in again.flags] == [f.rep for f in c.flags]
+
+
+def test_reconstruction_forms_no_intermediate_matrix(monkeypatch):
+    # the row solves stay in integers, and each rebuilt flag has det 1 by
+    # construction, so no Mat is coerced and no flag rescaled
+    def refuse(*args):
+        raise AssertionError("intermediate matrix or rescaling")
+    monkeypatch.setattr(Mat, "__init__", refuse)
+    monkeypatch.setattr(DecoratedFlag, "unimodularize", refuse)
+    for (n, m) in [(3, 2), (5, 3), (7, 5)]:
+        t = random_triangulation(n, 2)
+        p = random_chart_point(t, m, 59 * n + m)
+        assert flags_to_charts(charts_to_flags(p), t) == p
 
 
 def test_all_ones_triangle():
