@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import prod
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError
+from .polygon import Triangulation, ChartPoint, cyclic_interval, index_at, PolygonError
 from .mutation import transport
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
@@ -159,13 +159,6 @@ def _reverse_triangle(x, m):
         x[t] = (prod(x[s] for s in out) + prod(x[s] for s in inc)) / x[t]
 
 
-def _index(n, vertices, weights):
-    idx = [0] * n
-    for v, w in zip(vertices, weights):
-        idx[v - 1] = w
-    return tuple(idx)
-
-
 def _act_on_chart(p, g):
     """The generator on a chart point; the result lives on the adapted
     triangulation of the interval."""
@@ -190,13 +183,13 @@ def _act_on_chart(p, g):
     pts = admissible_indices(3, m)
     for s in range(1, len(iv) - 1):
         tri = (iv[0], iv[s], iv[s + 1])
-        x = [values[_index(n, tri, w)] for w in pts]
+        x = [values[index_at(n, tri, w)] for w in pts]
         _reverse_triangle(x, m)
         image = [g.mirror(v, n) for v in reversed(tri)]
         # the reversed value at weight (k, i, j) is x(i, j, k)
         for (i, j, k), value in zip(pts, x):
             if i and j and k:
-                out[_index(n, image, (k, i, j))] = value
+                out[index_at(n, image, (k, i, j))] = value
     return ChartPoint._of(_adapted_triangulation(n, iv), m, out)
 
 
@@ -227,10 +220,8 @@ def act_word(x, word):
     return x
 
 
-def _random_interval(rng, n, min_len=2, max_len=None):
-    if max_len is None:
-        max_len = n
-    length = rng.randint(min_len, max_len)
+def _random_interval(rng, n):
+    length = rng.randint(2, n)
     p = rng.randint(1, n)
     q = (p + length - 2) % n + 1
     return IntervalGen(p, q)

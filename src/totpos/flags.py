@@ -245,7 +245,10 @@ class Configuration:
         flags = [DecoratedFlag(Mat([[scalar(x) for x in row] for row in rows]))
                  for rows in data["flags"]]
         c = cls(flags)
-        if c.m != data["m"] or c.n != data["n"]:
+        n, m = data["n"], data["m"]
+        if type(n) is not int or type(m) is not int:
+            raise FlagError("n and m must be integers, got %r and %r" % (n, m))
+        if c.m != m or c.n != n:
             raise FlagError("declared (n, m) does not match the flag data")
         return c
 
@@ -254,10 +257,11 @@ def sign_normalize(c):
     """Flip decoration signs per flag and level to reach the positive chamber.
 
     Solves, over GF(2), for sign flips of each flag's decorations making
-    every coordinate positive.  Free choices (they exist for n = 2) are
-    resolved by not flipping; raises SignNormalizeError with a witness
-    multi-index when no pattern works, and NotGenericError on a vanishing
-    coordinate.
+    every coordinate positive.  Free choices are resolved by not flipping.
+    There are m - 1 of them for n = 2; for n >= 3 there is exactly one at
+    even m (level 1 of flag 1) and none at odd m.  Raises
+    SignNormalizeError with a witness multi-index when no pattern works,
+    and NotGenericError on a vanishing coordinate.
     """
     m, n = c.m, c.n
     nvars = n * (m - 1)

@@ -5,8 +5,9 @@ labels goes through the helpers here.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, pairwise
 
+from .flags import admissible_indices
 from .rational import scalar, scalar_str
 
 
@@ -43,7 +44,7 @@ def _is_boundary(a, b, n):
 class Triangulation:
     """A triangulation of the labeled n-gon by noncrossing diagonals."""
 
-    __slots__ = ("n", "diagonals", "_triangles")
+    __slots__ = ("n", "diagonals", "_faces")
 
     def __init__(self, n, diagonals):
         if type(n) is not int:
@@ -68,17 +69,24 @@ class Triangulation:
                 raise PolygonError("diagonals %s and %s cross" % (d1, d2))
         self.n = n
         self.diagonals = frozenset(diags)
-        self._triangles = None
+        # the faces whose smallest vertex is a are (a, u, v) for consecutive
+        # u < v among a's neighbours above a
+        above = {a: [a + 1] for a in range(1, n)}
+        above[1].append(n)
+        for a, b in diags:
+            above[a].append(b)
+        self._faces = [(a, u, v) for a in range(1, n - 1)
+                       for u, v in pairwise(sorted(above[a]))]
 
     @classmethod
-    def _of(cls, n, diagonals, triangles):
+    def _of(cls, n, diagonals, faces):
         """Wrap a frozenset of ascending diagonal pairs and their ascending
         list of ascending face triples as is, without checking; for
         triangulations derived from a valid one, such as by a flip."""
         t = object.__new__(cls)
         t.n = n
         t.diagonals = diagonals
-        t._triangles = triangles
+        t._faces = faces
         return t
 
     @classmethod
@@ -110,34 +118,15 @@ class Triangulation:
     def __repr__(self):
         return "Triangulation(%d, %s)" % (self.n, sorted(self.diagonals))
 
-    def boundary_edges(self):
-        n = self.n
-        return [(v, cyclic_succ(v, n)) if v < n else (1, n) for v in range(1, n + 1)]
-
     def edges(self):
-        return sorted(set(self.boundary_edges()) | self.diagonals)
+        """The boundary edges and diagonals, as ascending pairs: the sides
+        of the faces."""
+        return sorted({e for f in self._faces for e in combinations(f, 2)})
 
     def triangles(self):
-        """The n-2 triangular faces, each as an ascending vertex triple.
-
-        In a noncrossing triangulation every 3-clique of the edge graph
-        bounds a face, so the faces are exactly the 3-cliques.
-        """
-        if self._triangles is None:
-            edge_set = set(self.edges())
-            adj = {v: set() for v in range(1, self.n + 1)}
-            for a, b in edge_set:
-                adj[a].add(b)
-                adj[b].add(a)
-            tris = []
-            for a, b in sorted(edge_set):
-                for c in sorted(adj[a] & adj[b]):
-                    if c > b:
-                        tris.append((a, b, c))
-            if len(tris) != self.n - 2:
-                raise PolygonError("face count %d != %d" % (len(tris), self.n - 2))
-            self._triangles = tris
-        return self._triangles
+        """The n-2 triangular faces, each as an ascending vertex triple, in
+        ascending order."""
+        return self._faces
 
     def quadrilateral(self, d):
         """The four vertices around diagonal d, in cyclic order (a, b, c, e)
@@ -145,7 +134,7 @@ class Triangulation:
         d = tuple(sorted(d))
         if d not in self.diagonals:
             raise PolygonError("%s is not a diagonal" % (d,))
-        adjacent = [t for t in self.triangles() if d[0] in t and d[1] in t]
+        adjacent = [f for f in self._faces if d[0] in f and d[1] in f]
         if len(adjacent) != 2:
             raise PolygonError("diagonal %s borders %d faces, not 2" % (d, len(adjacent)))
         q1, q2, q3, q4 = sorted(set(adjacent[0]) | set(adjacent[1]))
@@ -167,7 +156,7 @@ class Triangulation:
         stays ascending.
         """
         gone = {tuple(sorted(f)) for f in ((a, b, c), (a, c, e))}
-        faces = [f for f in self.triangles() if f not in gone]
+        faces = [f for f in self._faces if f not in gone]
         faces += [tuple(sorted(f)) for f in ((a, b, e), (b, c, e))]
         faces.sort()
         diagonals = (self.diagonals - {(min(a, c), max(a, c))}) | {(min(b, e), max(b, e))}
@@ -219,30 +208,32 @@ def flip_path(t1, t2):
     return path + path_to_fan(t2)[1][::-1]
 
 
+def index_at(n, vertices, weights):
+    """The multi-index of length n with weights[k] at vertex vertices[k],
+    and 0 elsewhere."""
+    idx = [0] * n
+    for v, w in zip(vertices, weights):
+        idx[v - 1] = w
+    return tuple(idx)
+
+
 def chart_indices(t, m):
     """All multi-indices supported on the faces of a triangulation.
 
-    One index per edge and weight split, plus the all-positive weights of
-    each triangle; shared edges are not double counted.
+    Each face contributes the chart of a triangle, ``admissible_indices(3,
+    m)``, placed at its vertices; faces that share an edge share its
+    indices, which count once.
     """
     if m < 2:
         raise PolygonError("need m >= 2")
-    n = t.n
     out = set()
-    for a, b in t.edges():
-        for i in range(1, m):
-            idx = [0] * n
-            idx[a - 1] = i
-            idx[b - 1] = m - i
-            out.add(tuple(idx))
     for a, b, c in t.triangles():
-        for i in range(1, m - 1):
-            for j in range(1, m - i):
-                k = m - i - j
-                if k >= 1:
-                    idx = [0] * n
-                    idx[a - 1], idx[b - 1], idx[c - 1] = i, j, k
-                    out.add(tuple(idx))
+        # one list per face, rewritten for each weight: half the cost of an
+        # index_at call per weight
+        idx = [0] * t.n
+        for i, j, k in admissible_indices(3, m):
+            idx[a - 1], idx[b - 1], idx[c - 1] = i, j, k
+            out.add(tuple(idx))
     return sorted(out)
 
 
@@ -261,10 +252,13 @@ class ChartPoint:
     def __init__(self, triangulation, m, values):
         if type(m) is not int:
             raise PolygonError("m must be an integer, got %r" % (m,))
-        keys = chart_indices(triangulation, m)
         values = {tuple(k): scalar(v) for k, v in values.items()}
-        if sorted(values) != keys:
-            raise PolygonError("chart values must be keyed by exactly the chart indices")
+        # the closed-form count first, so that enumerating the chart indices
+        # is bounded by the size of the input
+        count = chart_dimension(triangulation.n, m)
+        if len(values) != count or sorted(values) != chart_indices(triangulation, m):
+            raise PolygonError("chart values must be keyed by exactly the %d chart "
+                               "indices" % count)
         for k, v in values.items():
             if v <= 0:
                 raise PolygonError("chart value at %s is %s, not positive"
@@ -318,13 +312,7 @@ class ChartPoint:
 
 def edge_values(config, a, b, m):
     """The m-1 coordinates of a configuration supported on edge {a, b}."""
-    out = []
-    for i in range(1, m):
-        idx = [0] * config.n
-        idx[a - 1] = i
-        idx[b - 1] = m - i
-        out.append(config.delta(idx))
-    return out
+    return [config.delta(index_at(config.n, (a, b), (i, m - i))) for i in range(1, m)]
 
 
 def glue_check(assignment, t):
@@ -335,22 +323,18 @@ def glue_check(assignment, t):
     iff for every internal edge the two induced edge restrictions carry
     identical coordinates.
     """
-    tris = t.triangles()
-    if sorted(assignment) != sorted(tris):
+    if sorted(assignment) != t.triangles():
         raise PolygonError("assignment keys must be the triangles of the triangulation")
     m = next(iter(assignment.values())).m
     for c in assignment.values():
         if c.n != 3 or c.m != m:
             raise PolygonError("each triangle needs an n=3 configuration of matching m")
     for d in t.diagonals:
-        sides = [tri for tri in tris if d[0] in tri and d[1] in tri]
-        if len(sides) != 2:
-            raise PolygonError("diagonal %s borders %d faces, not 2" % (d, len(sides)))
+        a, b, c, e = t.quadrilateral(d)
         vals = []
-        for tri in sides:
-            c = assignment[tri]
+        for tri in (tuple(sorted((a, b, c))), tuple(sorted((a, c, e)))):
             pa, pb = tri.index(d[0]) + 1, tri.index(d[1]) + 1
-            vals.append(edge_values(c, pa, pb, m))
+            vals.append(edge_values(assignment[tri], pa, pb, m))
         if vals[0] != vals[1]:
             return False
     return True

@@ -37,10 +37,13 @@ class SingularMatrixError(ValueError):
 def scalar(x):
     """Coerce ints, strings like "p/q", and Fractions to a canonical Fraction.
 
-    Floats raise TypeError, and a string with a zero denominator ValueError.
+    Floats and booleans raise TypeError, and a string with a zero
+    denominator ValueError.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError("booleans are not numbers; got %r" % x)
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -105,9 +108,6 @@ class Mat:
     def is_square(self):
         return self.rows == self.cols
 
-    def row(self, i):
-        return self.entries[i]
-
     def transpose(self):
         return Mat._of(tuple(zip(*self.entries)))
 
@@ -134,12 +134,6 @@ class Mat:
         rows = list(self.entries)
         rows[dst] = tuple(a + factor * b for a, b in zip(rows[dst], rows[src]))
         return Mat._of(tuple(rows))
-
-    def det(self):
-        return det(self)
-
-    def inverse(self):
-        return inverse(self)
 
     def inverse_transpose(self):
         return inverse_transpose(self)

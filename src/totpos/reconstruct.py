@@ -16,7 +16,7 @@ from fractions import Fraction
 from .rational import (Mat, scalar_str, _clear_row, _integer_clearing,
                        _cofactor_ints, _solve_cleared)
 from .flags import DecoratedFlag, Configuration, FlagError
-from .polygon import Triangulation, ChartPoint, chart_indices, PolygonError
+from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
 from .mutation import transport
 
 
@@ -63,7 +63,7 @@ def charts_to_flags(p):
     rows = []
     prod = Fraction(1)
     for j in range(1, m):
-        target = (-1) ** (j * (j - 1) // 2) * values[(m - j, j) + (0,) * (n - 2)]
+        target = (-1) ** (j * (j - 1) // 2) * values[index_at(n, (1, 2), (m - j, j))]
         lam = target / prod
         prod = target
         rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
@@ -112,7 +112,7 @@ def _solve_flag(values, n, v, first, prev, m):
             # x . (b C) = a scale
             cof = _cofactor_ints(first[0][:i] + prev[0][:j] + ints)
             scale = first[1][i] * prev[1][j] * scales[-1]
-            value = values[(i,) + (0,) * (v - 3) + (j, k) + (0,) * (n - v)]
+            value = values[index_at(n, (1, v - 1, v), (i, j, k))]
             system.append([value.denominator * c for c in cof]
                           + [value.numerator * scale])
         system.extend(r + [0] for r in ints)

@@ -5,9 +5,11 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import totpos.__main__ as totpos_main
 import totpos.cli as cli
+import totpos.polygon as polygon
 
 from conftest import run_totpos
 
@@ -343,3 +345,110 @@ def test_gen_stdout_matches_recorded_digests(n, m, digest):
     code, out = run_cli(["gen", str(n), str(m), "--seed", "1"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _gen_chart(n, m):
+    """The stdout of `gen N M --seed 1` and of `charts -` on it."""
+    _, cfg = run_cli(["gen", str(n), str(m), "--seed", "1"])
+    _, chart = run_cli(["charts", "-"], cfg)
+    return cfg, chart
+
+
+def test_huge_declared_m_exits_two_before_enumerating(monkeypatch):
+    # the declared m = 100000 would enumerate about 5 * 10**9 indices; the
+    # closed-form count rejects the 5 values first
+    def refuse(t, m):
+        raise RuntimeError("chart indices enumerated for m = %d" % m)
+
+    _, chart = _gen_chart(4, 2)
+    data = dict(json.loads(chart), m=100000)
+    monkeypatch.setattr(polygon, "chart_indices", refuse)
+    assert run_cli(["flip", "-", "--diagonal", "1-3"], json.dumps(data)) == (2, "")
+
+
+def _chart_with_true_value():
+    _, chart = _gen_chart(4, 2)
+    data = json.loads(chart)
+    data["values"]["0,0,1,1"] = True
+    return json.dumps(data)
+
+
+def _config_with_float_n():
+    cfg, _ = _gen_chart(4, 2)
+    return json.dumps(dict(json.loads(cfg), n=4.0))
+
+
+@pytest.mark.parametrize("args,data", [
+    (["delta", "-", "--index", "1,1"],
+     '{"m":2,"n":2,"flags":[[[true,0],[0,true]],[[0,1],[-1,0]]]}'),
+    (["transport", "-", "--diagonals", "2-4"], _chart_with_true_value),
+    (["charts", "-"], _config_with_float_n),
+])
+def test_json_booleans_and_float_sizes_exit_two(args, data):
+    # a JSON true is not the number 1, and 4.0 is not the size 4
+    out = run_totpos(args, data if isinstance(data, str) else data())
+    assert out.returncode == 2, out.stdout
+    assert out.stdout == ""
+    assert "error" in json.loads(out.stderr)
+
+
+# values put into a valid document, as JSON text so that each use is a new
+# object: values of the wrong type, a zero denominator, and a size no input
+# may make the program enumerate
+ATOMS = ("true", "false", "null", "0", "-1", "1.5", '"1/0"', '"x"', "[]", "{}",
+         str(10 ** 30))
+KEYS = ("m", "n", "x", "flags", "values", "triangulation", "diagonals", "0,0,1,1")
+
+
+def _mutate(doc, data):
+    """The document with one drawn change at a drawn place: a value
+    swapped for an atom, a key or entry dropped, or one added.  The place
+    is found by descending from the root, stopping at each level with
+    probability one half, so the top-level sizes are hit often."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        parent, key = node, data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    op = data.draw(st.sampled_from(("swap", "drop", "add")))
+    atom = json.loads(data.draw(st.sampled_from(ATOMS)))
+    if parent is None and op != "add":
+        return atom
+    if op == "swap":
+        parent[key] = atom
+    elif op == "drop":
+        del parent[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.sampled_from(KEYS))] = atom
+    elif isinstance(node, list):
+        node.insert(data.draw(st.integers(0, len(node))), atom)
+    return doc
+
+
+# each subcommand that reads JSON, with the output it reads: 0 for `gen`,
+# 1 for `charts`
+FUZZ_RUNS = (
+    (["delta", "-", "--index", "1,%d,0,0"], 0),
+    (["charts", "-"], 0),
+    (["flip", "-", "--diagonal", "1-3"], 1),
+    (["transport", "-", "--diagonals", "2-4"], 1),
+    (["act", "-", "--word", "[[1,3]]"], 0),
+    (["act", "-", "--word", "[[1,3]]"], 1),
+    (["verify-axioms", "-", "--trials", "1"], 0),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 3), st.sampled_from(FUZZ_RUNS), st.integers(0, 3), st.data())
+def test_json_commands_exit_zero_or_two_on_mutated_input(m, run, changes, data):
+    """Every subcommand that reads JSON, on a mutated `gen` or `charts`
+    output of the square: exit 0, or exit 2 with empty stdout; never 1,
+    never a raise."""
+    args, kind = run
+    doc = json.loads(_gen_chart(4, m)[kind])
+    for _ in range(changes):
+        doc = _mutate(doc, data)
+    code, out = run_cli([a.replace("%d", str(m - 1)) for a in args], json.dumps(doc))
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""

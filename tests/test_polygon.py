@@ -115,6 +115,52 @@ def test_flip_path_routes_through_the_busiest_fan(pair):
         assert len(flip_path(t1, Triangulation.fan(n, p))) == n - 3 - _degree(t1, p)
 
 
+def _boundary_and_diagonals(t):
+    n = t.n
+    return {(v, v + 1) for v in range(1, n)} | {(1, n)} | t.diagonals
+
+
+def _clique_faces(t):
+    """The faces as the 3-cliques of the edge graph, ascending: in a
+    noncrossing triangulation every 3-clique bounds a face.  The search
+    the constructor's closed form replaced, kept as its oracle."""
+    edges = _boundary_and_diagonals(t)
+    adj = {v: set() for v in range(1, t.n + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return [(a, b, c) for a, b in sorted(edges) for c in sorted(adj[a] & adj[b]) if c > b]
+
+
+def _two_loop_chart_indices(t, m):
+    """The chart indices as one index per edge and weight split, plus the
+    all-positive weights of each face; the enumeration that the per-face
+    one replaced, kept as its oracle."""
+    n = t.n
+    out = set()
+    for a, b in _boundary_and_diagonals(t):
+        for i in range(1, m):
+            idx = [0] * n
+            idx[a - 1], idx[b - 1] = i, m - i
+            out.add(tuple(idx))
+    for a, b, c in _clique_faces(t):
+        for i in range(1, m - 1):
+            for j in range(1, m - i):
+                idx = [0] * n
+                idx[a - 1], idx[b - 1], idx[c - 1] = i, j, m - i - j
+                out.add(tuple(idx))
+    return sorted(out)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(3, 14).flatmap(triangulations))
+def test_faces_edges_and_chart_indices_match_the_search(t):
+    assert t.triangles() == _clique_faces(t)
+    assert t.edges() == sorted(_boundary_and_diagonals(t))
+    for m in range(2, 7):
+        assert chart_indices(t, m) == _two_loop_chart_indices(t, m)
+
+
 def test_chart_dimension_formula():
     # brute-force index enumeration against the closed form
     for n in range(3, 11):
