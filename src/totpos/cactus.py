@@ -46,9 +46,8 @@ class IntervalGen:
     __slots__ = ("p", "q")
 
     def __init__(self, p, q):
-        p, q = int(p), int(q)
-        if p == q:
-            raise PolygonError("interval endpoints must differ")
+        if type(p) is not int or type(q) is not int or p == q:
+            raise PolygonError("need two different integer ends, got %r, %r" % (p, q))
         self.p = p
         self.q = q
 
@@ -77,8 +76,7 @@ def word_from_json(data):
     integers (booleans and floats are rejected, not coerced).
     """
     if not isinstance(data, list) or not all(
-            isinstance(g, list) and len(g) == 2
-            and all(type(v) is int for v in g) for g in data):
+            isinstance(g, list) and len(g) == 2 for g in data):
         raise PolygonError("a word must be a JSON list of [p, q] integer "
                            "pairs, got %r" % (data,))
     return [IntervalGen(p, q) for p, q in data]
@@ -108,7 +106,8 @@ def _adapted_triangulation(n, iv):
     """A triangulation cutting along {p, q}: inside fan at q, outside fan
     at p."""
     p, q = iv[0], iv[-1]
-    return Triangulation._of_fans(n, [(q, iv[:-1]), (p, cyclic_interval(q, p, n)[:-1])])
+    return Triangulation._of_chords(
+        n, [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)])
 
 
 @lru_cache(maxsize=None)

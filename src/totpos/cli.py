@@ -8,13 +8,15 @@ failure (report with counterexamples still emitted), 2 usage error.
 """
 
 import argparse
+import io
 import json
 import math
 import sys
 from functools import lru_cache
 
 from .flags import Configuration, FlagError
-from .polygon import Triangulation, ChartPoint, chart_dimension, PolygonError
+from .polygon import (Triangulation, ChartPoint, chart_indices, chart_dimension,
+                      PolygonError)
 from .mutation import flip_transport, transport, MutationError
 from .reconstruct import (flags_to_charts, random_positive,
                           ChartValueError)
@@ -27,16 +29,21 @@ class UsageError(ValueError):
     pass
 
 
-def _read_json(source):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+def _parse_json(fh, source):
+    """The JSON document in text file ``fh``.  Every decode failure is a usage
+    error: not UTF-8, bad syntax, too many digits or too deep nesting."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.load(fh)
+    except (ValueError, RecursionError) as exc:
         raise UsageError("malformed JSON in %r: %s" % (source, exc))
+
+
+def _read_json(source):
+    """The JSON document in file ``source``, or on stdin for "-"."""
+    if source == "-":
+        return _parse_json(sys.stdin, source)
+    with open(source, encoding="utf-8") as fh:
+        return _parse_json(fh, source)
 
 
 def _check_trials(trials):
@@ -48,36 +55,29 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _parse_diagonals(text, n):
-    """Diagonal list from "a-b,c-d" syntax; empty string means none."""
-    diags = []
-    if text:
-        for part in text.split(","):
-            try:
-                a, b = (int(x) for x in part.split("-"))
-            except ValueError:
-                raise UsageError("bad diagonal %r, expected 'a-b'" % part)
-            diags.append((a, b))
-    return Triangulation(n, diags)
+def _parse_pairs(text):
+    """The vertex pairs of "a-b,c-d" syntax; the empty string has none."""
+    pairs = []
+    for part in text.split(",") if text else []:
+        try:
+            a, b = (int(x) for x in part.split("-"))
+        except ValueError:
+            raise UsageError("bad diagonal %r, expected 'a-b'" % part)
+        pairs.append((a, b))
+    return pairs
 
 
-def _load_configuration(data):
+def _load(cls, data):
+    """``cls.from_json(data)``; a document of the wrong shape is a usage error."""
     try:
-        return Configuration.from_json(data)
+        return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("not a configuration: %s" % exc)
-
-
-def _load_chart(data):
-    try:
-        return ChartPoint.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("not a chart point: %s" % exc)
+        raise UsageError("not a %s: %s" % (cls.__name__, exc))
 
 
 def _svg(t, m, path):
     """Static diagram: the polygon with its diagonals and a bullet at the
-    location of every chart coordinate."""
+    location of every chart coordinate, the barycentre of its weights."""
     n = t.n
     size, r = 400, 170
     cx = cy = size // 2
@@ -96,24 +96,13 @@ def _svg(t, m, path):
         x, y = pos(v)
         lines.append('<text x="%.1f" y="%.1f" font-size="14">%d</text>'
                      % (1.08 * (x - cx) + cx, 1.08 * (y - cy) + cy, v))
-    # bullets: edge coordinates spaced along each edge, triangle interiors
-    # at barycentric positions
-    for a, b in t.edges():
-        (x1, y1), (x2, y2) = pos(a), pos(b)
-        for i in range(1, m):
-            s = i / m
-            lines.append('<circle cx="%.1f" cy="%.1f" r="3"/>'
-                         % (x1 + s * (x2 - x1), y1 + s * (y2 - y1)))
-    for a, b, c in t.triangles():
-        (x1, y1), (x2, y2), (x3, y3) = pos(a), pos(b), pos(c)
-        for i in range(1, m - 1):
-            for j in range(1, m - i):
-                k = m - i - j
-                lines.append('<circle cx="%.1f" cy="%.1f" r="3"/>'
-                             % ((i * x1 + j * x2 + k * x3) / m,
-                                (i * y1 + j * y2 + k * y3) / m))
+    for idx in chart_indices(t, m):
+        weighted = [(w, pos(v)) for v, w in enumerate(idx, 1) if w]
+        lines.append('<circle cx="%.1f" cy="%.1f" r="3"/>'
+                     % (sum(w * x for w, (x, _) in weighted) / m,
+                        sum(w * y for w, (_, y) in weighted) / m))
     lines.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -183,7 +172,7 @@ def _cmd_gen(args):
 
 
 def _cmd_delta(args):
-    c = _load_configuration(_read_json(args.config))
+    c = _load(Configuration, _read_json(args.config))
     try:
         idx = tuple(int(x) for x in args.index.split(","))
     except ValueError:
@@ -193,11 +182,11 @@ def _cmd_delta(args):
 
 
 def _cmd_charts(args):
-    c = _load_configuration(_read_json(args.config))
+    c = _load(Configuration, _read_json(args.config))
     if args.diagonals is None:
         t = Triangulation.fan(c.n)
     else:
-        t = _parse_diagonals(args.diagonals, c.n)
+        t = Triangulation(c.n, _parse_pairs(args.diagonals))
     p = flags_to_charts(c, t)
     if args.svg:
         _svg(t, c.m, args.svg)
@@ -206,12 +195,11 @@ def _cmd_charts(args):
 
 
 def _cmd_flip(args):
-    p = _load_chart(_read_json(args.chart))
-    try:
-        a, b = (int(x) for x in args.diagonal.split("-"))
-    except ValueError:
-        raise UsageError("bad diagonal %r, expected 'a-b'" % args.diagonal)
-    q = flip_transport(p, (a, b))
+    p = _load(ChartPoint, _read_json(args.chart))
+    pairs = _parse_pairs(args.diagonal)
+    if len(pairs) != 1:
+        raise UsageError("--diagonal takes one pair 'a-b', got %r" % args.diagonal)
+    q = flip_transport(p, pairs[0])
     if args.svg:
         _svg(q.triangulation, q.m, args.svg)
     _emit(q.to_json())
@@ -219,26 +207,24 @@ def _cmd_flip(args):
 
 
 def _cmd_transport(args):
-    p = _load_chart(_read_json(args.chart))
-    t = _parse_diagonals(args.diagonals, p.triangulation.n)
+    p = _load(ChartPoint, _read_json(args.chart))
+    t = Triangulation(p.triangulation.n, _parse_pairs(args.diagonals))
     _emit(transport(p, t).to_json())
     return 0
 
 
 def _cmd_act(args):
     data = _read_json(args.input)
-    word_text = args.word
     try:
-        word_data = json.loads(word_text)
-    except json.JSONDecodeError:
-        word_data = _read_json(word_text)
+        word_data = _parse_json(io.StringIO(args.word), "--word")
+    except UsageError:
+        word_data = _read_json(args.word)
     word = word_from_json(word_data)
-    if not isinstance(data, dict):
-        raise UsageError("act input must be a configuration or chart point object")
-    if "flags" in data:
-        _emit(act_word(_load_configuration(data), word).to_json())
+    # a document that is not an object goes to the chart loader, which rejects it
+    if isinstance(data, dict) and "flags" in data:
+        _emit(act_word(_load(Configuration, data), word).to_json())
     else:
-        p = _load_chart(data)
+        p = _load(ChartPoint, data)
         _emit(transport(act_word(p, word), p.triangulation).to_json())
     return 0
 
@@ -247,7 +233,7 @@ def _cmd_verify_axioms(args):
     _check_trials(args.trials)
     m = args.m
     if args.config is not None:
-        m = _load_configuration(_read_json(args.config)).m
+        m = _load(Configuration, _read_json(args.config)).m
     if args.axiom == "all":
         ids = list(range(1, 9)) + ["glue"]
     elif args.axiom == "glue":

@@ -69,11 +69,12 @@ def admissible_indices(n, m):
 
 
 def check_index(idx, n, m):
-    idx = tuple(map(int, idx))
+    idx = tuple(idx)
     if len(idx) != n:
         raise FlagError("multi-index length %d != n = %d" % (len(idx), n))
-    if min(idx, default=0) < 0 or sum(idx) != m:
-        raise FlagError("multi-index %s does not sum to m = %d" % (idx, m))
+    if not all(type(x) is int and x >= 0 for x in idx) or sum(idx) != m:
+        raise FlagError("multi-index %r is not of nonnegative integers summing "
+                        "to m = %d" % (idx, m))
     if n - idx.count(0) < 2:
         raise FlagError("multi-index %s needs at least two nonzero entries" % (idx,))
     return idx

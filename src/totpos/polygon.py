@@ -1,7 +1,7 @@
 """Combinatorics of the labeled n-gon: triangulations, flips, charts.
 
-Vertices are labeled 1..n counterclockwise.  All cyclic arithmetic on
-labels goes through the helpers here.
+Vertices are labeled 1..n counterclockwise.  ``cyclic_interval`` walks the
+labels here; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
 """
 
 from collections import Counter
@@ -15,15 +15,11 @@ class PolygonError(ValueError):
     pass
 
 
-def cyclic_succ(v, n):
-    return v % n + 1
-
-
 def cyclic_interval(p, q, n):
     """Vertex labels of the cyclic interval [p..q], walking forward from p."""
     out = [p]
     while out[-1] != q:
-        out.append(cyclic_succ(out[-1], n))
+        out.append(out[-1] % n + 1)
         if len(out) > n:
             raise PolygonError("bad interval [%d..%d] for n = %d" % (p, q, n))
     return out
@@ -39,6 +35,17 @@ def chords_cross(d1, d2, n):
 def _is_boundary(a, b, n):
     a, b = sorted((a, b))
     return b - a == 1 or (a == 1 and b == n)
+
+
+def _faces(n, diagonals):
+    """The ascending face triples of the n-gon cut by the ascending pairs
+    ``diagonals``: (a, u, v) for consecutive u < v among a's neighbours above a."""
+    above = {a: [a + 1] for a in range(1, n)}
+    above[1].append(n)
+    for a, b in diagonals:
+        above[a].append(b)
+    return [(a, u, v) for a in range(1, n - 1)
+            for u, v in pairwise(sorted(above[a]))]
 
 
 class Triangulation:
@@ -69,14 +76,7 @@ class Triangulation:
                 raise PolygonError("diagonals %s and %s cross" % (d1, d2))
         self.n = n
         self.diagonals = frozenset(diags)
-        # the faces whose smallest vertex is a are (a, u, v) for consecutive
-        # u < v among a's neighbours above a
-        above = {a: [a + 1] for a in range(1, n)}
-        above[1].append(n)
-        for a, b in diags:
-            above[a].append(b)
-        self._faces = [(a, u, v) for a in range(1, n - 1)
-                       for u, v in pairwise(sorted(above[a]))]
+        self._faces = _faces(n, diags)
 
     @classmethod
     def _of(cls, n, diagonals, faces):
@@ -90,23 +90,19 @@ class Triangulation:
         return t
 
     @classmethod
-    def _of_fans(cls, n, fans):
-        """The triangulation whose faces are (a, u, v) for each (a, path) in
-        ``fans`` and each consecutive u, v on the path, without checking;
-        the fans must tile the polygon."""
-        faces = sorted(tuple(sorted((a, u, v)))
-                       for a, path in fans for u, v in zip(path, path[1:]))
-        diagonals = frozenset(e for f in faces for e in combinations(f, 2)
-                              if not _is_boundary(*e, n))
-        return cls._of(n, diagonals, faces)
+    def _of_chords(cls, n, chords):
+        """The triangulation by the diagonals among the vertex pairs ``chords``,
+        without checking; the diagonals must triangulate the polygon."""
+        diagonals = frozenset((min(a, b), max(a, b)) for a, b in chords
+                              if a != b and not _is_boundary(a, b, n))
+        return cls._of(n, diagonals, _faces(n, diagonals))
 
     @classmethod
     def fan(cls, n, apex=1):
         """The triangulation whose diagonals all end at ``apex``."""
         if type(n) is not int or n < 3 or not 1 <= apex <= n:
             raise PolygonError("no fan at vertex %r of the %r-gon" % (apex, n))
-        return cls._of_fans(n, [(apex, cyclic_interval(
-            cyclic_succ(apex, n), (apex - 2) % n + 1, n))])
+        return cls._of_chords(n, [(apex, v) for v in range(1, n + 1)])
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)

@@ -65,6 +65,10 @@ def test_generator_matches_flag_level_reference(case):
 def test_interval_gen_validation():
     with pytest.raises(PolygonError):
         IntervalGen(2, 2)
+    # interval ends are integers as they are, never truncated or converted
+    for p, q in [(1.7, 3.2), (1, 3.0), (True, 3), ("1", 3)]:
+        with pytest.raises(PolygonError):
+            IntervalGen(p, q)
     g = IntervalGen(5, 2)
     assert g.interval(6) == [5, 6, 1, 2]
     with pytest.raises(PolygonError):

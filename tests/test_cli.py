@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -102,6 +103,9 @@ def test_usage_errors_exit_two():
     assert run_cli(["delta", "-", "--index", "9,9"], cfg)[0] == 2
     assert run_cli(["delta", "-", "--index", "1,1,0,0"], "not json")[0] == 2
     assert run_cli(["nonsense"])[0] == 2
+    _, chart = run_cli(["charts", "-"], cfg)
+    for pairs in ("1-3,2-4", "", "1-3,"):
+        assert run_cli(["flip", "-", "--diagonal", pairs], chart) == (2, "")
 
 
 @pytest.mark.parametrize("word", ['[[1,2,3]]', '[[1]]', '"x"', '{"1":2}', '5',
@@ -220,15 +224,25 @@ def test_act_at_m5():
 
 
 def test_svg_output(tmp_path):
-    _, cfg = run_cli(["gen", "5", "3", "--seed", "1"])
+    n, m = 5, 3
+    cfg, chart = _gen_chart(n, m)
+    corners = [(200 + 170 * math.cos(a), 200 + 170 * math.sin(a))
+               for a in (-math.pi / 2 + 2 * math.pi * v / n for v in range(n))]
     svg = tmp_path / "chart.svg"
-    code, _ = run_cli(["charts", "-", "--svg", str(svg)], cfg)
-    assert code == 0
-    text = svg.read_text()
-    assert text.startswith("<svg") and "<circle" in text
-    # one bullet per chart coordinate
-    from totpos.polygon import chart_dimension
-    assert text.count("<circle") == chart_dimension(5, 3)
+    for args, stdin in ((["charts", "-"], cfg), (["flip", "-", "--diagonal", "1-3"], chart)):
+        code, out = run_cli(args + ["--svg", str(svg)], stdin)
+        assert code == 0
+        text = svg.read_text(encoding="utf-8")
+        assert text.startswith("<svg")
+        # one bullet per chart coordinate, at the barycentre of its weights
+        # on the vertices, which sit on the circle of radius 170 about (200, 200)
+        t = polygon.ChartPoint.from_json(json.loads(out)).triangulation
+        bullets = sorted('<circle cx="%.1f" cy="%.1f" r="3"/>' % tuple(
+            sum(w * corner[k] for w, corner in zip(idx, corners)) / m for k in (0, 1))
+            for idx in polygon.chart_indices(t, m))
+        assert len(bullets) == polygon.chart_dimension(n, m)
+        assert sorted(line for line in text.splitlines()
+                      if line.startswith("<circle")) == bullets
 
 
 def test_console_script_end_to_end():
@@ -436,6 +450,43 @@ FUZZ_RUNS = (
     (["act", "-", "--word", "[[1,3]]"], 1),
     (["verify-axioms", "-", "--trials", "1"], 0),
 )
+
+
+# files that fail before they are a document, so no mutation of a parsed
+# document reaches them: bytes that are not UTF-8, nesting deeper than the
+# recursion limit, and an integer longer than Python converts from text
+UNDECODABLE = {
+    "not utf-8": b"\xff\xfe{}",
+    "too deep": b"[" * 100000 + b"]" * 100000,
+    "too many digits": b'{"m": ' + b"9" * 5000 + b"}",
+}
+
+
+def _exits_two(capsys, argv, stdin=""):
+    """Run the CLI in process: exit 2, empty stdout and a JSON error."""
+    code, out = run_cli(argv, stdin)
+    assert (code, out) == (2, "")
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+@pytest.mark.parametrize("run", FUZZ_RUNS, ids=["%s-%d" % (a[0], k) for a, k in FUZZ_RUNS])
+def test_undecodable_input_files_exit_two(tmp_path, capsys, run, kind):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNDECODABLE[kind])
+    args, _ = run
+    _exits_two(capsys, [str(path) if a == "-" else a.replace("%d", "1") for a in args])
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_deeply_nested_word_exits_two(tmp_path, capsys, inline):
+    word = "[" * 5000 + "]" * 5000
+    if not inline:
+        path = tmp_path / "word.json"
+        path.write_text(word, encoding="utf-8")
+        word = str(path)
+    cfg, _ = _gen_chart(4, 2)
+    _exits_two(capsys, ["act", "-", "--word", word], cfg)
 
 
 @settings(deadline=None, max_examples=300)

@@ -35,6 +35,12 @@ def test_check_index_rejections():
         check_index((1, 2, 0), 3, 2)
     with pytest.raises(FlagError):
         check_index((-1, 2, 1), 3, 2)
+    # entries are integers as they are, never truncated or converted
+    for idx in [(1.0, 1, 0), (1.9, 1, 0), ("1", 1, 0), (True, 1, 0)]:
+        with pytest.raises(FlagError):
+            check_index(idx, 3, 2)
+    with pytest.raises(FlagError):
+        random_positive(4, 2, 1).delta((1.9, 1.9, 0, 0))
 
 
 def test_v_configuration_deltas(v_config):
