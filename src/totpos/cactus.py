@@ -15,7 +15,7 @@ chart values alone, with no flag and no determinant:
    - each edge value inside is one input value relabelled: out[idx] =
      in[idx'] with idx'[mirror(w)] = m - idx[w];
    - each triangle interior inside is the reversal of the mirrored fan
-     triangle, computed by the exchange program of ``_reversal_program``.
+     triangle, ``_reversal_program`` run by the shared ``mutation._run_program``.
 
 The exchange program of one m is a sequence of C(m, 3) mutations of the
 Fock-Goncharov quiver of a triangle, the octahedron-recurrence form of the
@@ -32,11 +32,10 @@ counterexample.
 
 import random
 from functools import lru_cache
-from math import prod
 
 from .flags import admissible_indices
 from .polygon import Triangulation, ChartPoint, cyclic_interval, index_at, PolygonError
-from .mutation import transport
+from .mutation import transport, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
 
@@ -94,11 +93,7 @@ def underlying_permutation(word, n):
     perm = list(range(1, n + 1))
     for g in word:
         iv = g.interval(n)
-        new = list(perm)
-        for v in range(1, n + 1):
-            if perm[v - 1] in iv:
-                new[v - 1] = g.mirror(perm[v - 1], n)
-        perm = new
+        perm = [g.mirror(v, n) if v in iv else v for v in perm]
     return tuple(perm)
 
 
@@ -118,8 +113,8 @@ def _reversal_program(m):
     position.  The quiver is Fock-Goncharov's: arrows w -> w + (1, 0, -1),
     w -> w + (-1, 1, 0) and w -> w + (0, -1, 1), none joining two points of
     one edge.  For l = 1..m-2 the interior points with k >= m-1-l are
-    mutated in ascending (k, i) order.  A step (t, out, inc) replaces x[t] by
-    (prod x[out] + prod x[inc]) / x[t], a position repeated once per arrow.
+    mutated in ascending (k, i) order.  A step (t, out, inc, t) replaces x[t]
+    by (prod x[out] + prod x[inc]) / x[t], a position repeated once per arrow.
     After the C(m, 3) steps, the reversed triangle has value x(j, k, i) at
     interior weight (i, j, k).
     """
@@ -139,7 +134,7 @@ def _reversal_program(m):
             t = pos[w]
             row = b[t]
             steps.append((t, tuple(s for s, e in enumerate(row) for _ in range(e)),
-                          tuple(s for s, e in enumerate(row) for _ in range(-e))))
+                          tuple(s for s, e in enumerate(row) for _ in range(-e)), t))
             # quiver mutation at t
             for r in b:
                 if r is not row and r[t]:
@@ -149,13 +144,6 @@ def _reversal_program(m):
                 r[t] = -r[t]
             b[t] = [-e for e in row]
     return tuple(steps)
-
-
-def _reverse_triangle(x, m):
-    """Run the exchange program in place on a triangle's values, listed in
-    the order of ``admissible_indices(3, m)``."""
-    for t, out, inc in _reversal_program(m):
-        x[t] = (prod(x[s] for s in out) + prod(x[s] for s in inc)) / x[t]
 
 
 def _act_on_chart(p, g):
@@ -183,7 +171,7 @@ def _act_on_chart(p, g):
     for s in range(1, len(iv) - 1):
         tri = (iv[0], iv[s], iv[s + 1])
         x = [values[index_at(n, tri, w)] for w in pts]
-        _reverse_triangle(x, m)
+        _run_program(x, _reversal_program(m))
         image = [g.mirror(v, n) for v in reversed(tri)]
         # the reversed value at weight (k, i, j) is x(i, j, k)
         for (i, j, k), value in zip(pts, x):

@@ -20,7 +20,7 @@ from .polygon import (Triangulation, ChartPoint, chart_indices, chart_dimension,
 from .mutation import flip_transport, transport, MutationError
 from .reconstruct import (flags_to_charts, random_positive,
                           ChartValueError)
-from .rational import scalar_str
+from .rational import scalar_str, DigitLimitError
 from .cactus import word_from_json, act_word, verify_relations
 from .axioms import check_axiom, check_glue
 
@@ -144,7 +144,7 @@ def _parser():
     p = sub.add_parser("act", help="apply a word of interval reversals")
     p.add_argument("input", help="configuration or chart point JSON")
     p.add_argument("--word", required=True,
-                   help="JSON like [[1,3],[2,4]], inline or a file path")
+                   help="JSON like [[1,3],[2,4]] inline, or a file path")
 
     p = sub.add_parser("verify-axioms", help="run the axiom harness")
     p.add_argument("config", nargs="?", default=None,
@@ -215,11 +215,10 @@ def _cmd_transport(args):
 
 def _cmd_act(args):
     data = _read_json(args.input)
-    try:
-        word_data = _parse_json(io.StringIO(args.word), "--word")
-    except UsageError:
-        word_data = _read_json(args.word)
-    word = word_from_json(word_data)
+    if args.word.lstrip().startswith("["):
+        word = word_from_json(_parse_json(io.StringIO(args.word), "--word"))
+    else:
+        word = word_from_json(_read_json(args.word))
     # a document that is not an object goes to the chart loader, which rejects it
     if isinstance(data, dict) and "flags" in data:
         _emit(act_word(_load(Configuration, data), word).to_json())
@@ -284,8 +283,9 @@ def run(argv):
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, PolygonError, FlagError, MutationError,
-            ChartValueError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+            ChartValueError, DigitLimitError, OSError) as exc:
+        # a message may echo a long argument: keep its first 160 characters
+        sys.stderr.write(json.dumps({"error": str(exc)[:160]}) + "\n")
         return 2
 
 

@@ -1,14 +1,18 @@
-"""The exchange relation and chart transport along flips.
+"""The exchange relation, exchange programs, and chart transport along flips.
 
-A flip replaces the diagonal {a, c} of a quadrilateral (a, b, c, d) by
-{b, d}.  On chart values the transport fills in every coordinate supported
-on the quadrilateral by induction on the total weight at b and d: each
-application of the exchange relation expresses a coordinate through five
-siblings of strictly smaller such weight, grounding in old-chart values.
-All steps are subtraction free, so positivity propagates for free.
+An exchange program is a tuple of steps (t, out, inc, d) on a list of values
+x, each setting x[t] = (prod x[out] + prod x[inc]) / x[d].  ``_run_program``
+runs the flip's program here and the triangle reversal of ``cactus``.  A flip
+replaces the diagonal {a, c} of a quadrilateral (a, b, c, e) by {b, e}, in
+the C(m+1, 3) steps of Fock and Goncharov's rank-m flip.  All steps are
+subtraction free, so positivity propagates for free.
 """
 
-from .polygon import ChartPoint, PolygonError, flip_path
+from functools import lru_cache, reduce
+from operator import mul
+
+from .flags import admissible_indices
+from .polygon import ChartPoint, PolygonError, flip_path, index_at
 
 
 class MutationError(ValueError):
@@ -22,6 +26,29 @@ def exchange(ab, cd, bc, ad, ac):
     return (ab * cd + bc * ad) / ac
 
 
+def _run_program(x, steps):
+    """Run an exchange program in place on the list of values ``x``."""
+    get = x.__getitem__
+    for t, out, inc, d in steps:
+        # functools.reduce, unlike math.prod, multiplies nothing by the int 1
+        x[t] = (reduce(mul, map(get, out)) + reduce(mul, map(get, inc))) / x[d]
+
+
+@lru_cache(maxsize=None)
+def _flip_program(m):
+    """The weights ``admissible_indices(4, m)`` at (a, b, c, e), and the flip's
+    program on them by position: each (i, j, k, l) with j, l > 0, in ascending
+    j + l, by the exchange relation from five weights of smaller j + l."""
+    pts = admissible_indices(4, m)
+    pos = {w: s for s, w in enumerate(pts)}
+    steps = tuple((pos[i, j, k, l],
+                   (pos[i + 1, j, k, l - 1], pos[i, j - 1, k + 1, l]),
+                   (pos[i, j, k + 1, l - 1], pos[i + 1, j - 1, k, l]),
+                   pos[i + 1, j - 1, k + 1, l - 1])
+                  for i, j, k, l in sorted(pts, key=lambda w: w[1] + w[3]) if j and l)
+    return pts, steps
+
+
 def flip_transport(p, d):
     """Chart point of the flipped triangulation for the same underlying point.
 
@@ -31,39 +58,19 @@ def flip_transport(p, d):
     it.  Every other value carries over.
     """
     t = p.triangulation
-    a, b, c, e = t.quadrilateral(d)
-    n, m = t.n, p.m
-
-    def key(i, j, k, l):
-        idx = [0] * n
-        idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] = i, j, k, l
-        return tuple(idx)
-
-    memo = {}
-
-    def value(i, j, k, l):
-        # induction on j + l, seeded by the old chart (j = 0 or l = 0)
-        if j == 0 or l == 0:
-            return p.values[key(i, j, k, l)]
-        w = (i, j, k, l)
-        if w not in memo:
-            memo[w] = exchange(
-                value(i + 1, j, k, l - 1), value(i, j - 1, k + 1, l),
-                value(i, j, k + 1, l - 1), value(i + 1, j - 1, k, l),
-                value(i + 1, j - 1, k + 1, l - 1))
-        return memo[w]
-
-    # weights of the face interiors: three positive parts summing to m
-    inner = [(i, j, m - i - j) for i in range(1, m - 1) for j in range(1, m - i)]
+    quad = t.quadrilateral(d)
+    pts, steps = _flip_program(p.m)
+    keys = [index_at(t.n, quad, w) for w in pts]
     values = dict(p.values)
-    for i in range(1, m):
-        del values[key(i, 0, m - i, 0)]
-        values[key(0, i, 0, m - i)] = value(0, i, 0, m - i)
-    for i, j, k in inner:
-        del values[key(i, j, k, 0)], values[key(i, 0, j, k)]
-        values[key(i, j, 0, k)] = value(i, j, 0, k)
-        values[key(0, i, j, k)] = value(0, i, j, k)
-    return ChartPoint._of(t._flip(a, b, c, e), m, values)
+    # the new chart's weights with j, l > 0 start unset: the program fills them
+    x = [values.get(key) for key in keys]
+    _run_program(x, steps)
+    for (i, j, k, l), key, value in zip(pts, keys, x):
+        if i and k:
+            values.pop(key, None)  # the old chart's, or none when j, l > 0 too
+        elif j and l:
+            values[key] = value
+    return ChartPoint._of(t._flip(*quad), p.m, values)
 
 
 def transport(p, target):

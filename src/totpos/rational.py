@@ -54,11 +54,17 @@ def scalar(x):
     return Fraction(x)
 
 
+class DigitLimitError(ValueError):
+    """A value over Python's limit on integer string conversion."""
+
+
 def scalar_str(x):
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    """Serialize a Fraction as "p/q", or "p" when the denominator is 1, as its
+    str does; over Python's integer string limit, raise DigitLimitError."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise DigitLimitError("output value: %s" % exc) from None
 
 
 class Mat:

@@ -8,8 +8,8 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
                            verify_relations, _adapted_triangulation,
-                           _reversal_program, _reverse_triangle)
-from totpos.mutation import transport
+                           _reversal_program)
+from totpos.mutation import transport, _run_program
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 import totpos.cactus as cactus_module
@@ -21,27 +21,27 @@ from conftest import triangulations
 def _act_generator_reference(c, g):
     """The flag-level recipe act_generator replaced, kept as an oracle.
 
-    The full interval reverses every flag in place; a proper sub-interval
-    reassembles on the adapted chart and rebuilds flags from it.  Either
-    way the flags are read back to the fan chart and rebuilt once more.
+    The full interval reverses every flag in place, and the flags are read
+    back to the fan chart and rebuilt.  A proper sub-interval reassembles
+    on the adapted chart and rebuilds flags from it; charts_to_flags fixes
+    its gauge from the point alone, so no second round trip is needed.
     """
     n, m = c.n, c.m
     iv = g.interval(n)
     if len(iv) == n:
         out = sign_normalize(Configuration(
             [c.flags[g.mirror(v, n) - 1].orthogonal() for v in range(1, n + 1)]))
-    else:
-        rev = sign_normalize(Configuration(
-            [c.flags[v - 1].orthogonal() for v in reversed(iv)]))
-        t = _adapted_triangulation(n, iv)
-        values = {}
-        for idx in chart_indices(t, m):
-            if {k + 1 for k, x in enumerate(idx) if x} <= set(iv):
-                values[idx] = rev.delta(tuple(idx[v - 1] for v in iv))
-            else:
-                values[idx] = c.delta(idx)
-        out = charts_to_flags(ChartPoint(t, m, values))
-    return charts_to_flags(flags_to_charts(out, Triangulation.fan(n)))
+        return charts_to_flags(flags_to_charts(out, Triangulation.fan(n)))
+    rev = sign_normalize(Configuration(
+        [c.flags[v - 1].orthogonal() for v in reversed(iv)]))
+    t = _adapted_triangulation(n, iv)
+    values = {}
+    for idx in chart_indices(t, m):
+        if {k + 1 for k, x in enumerate(idx) if x} <= set(iv):
+            values[idx] = rev.delta(tuple(idx[v - 1] for v in iv))
+        else:
+            values[idx] = c.delta(idx)
+    return charts_to_flags(ChartPoint(t, m, values))
 
 
 @st.composite
@@ -244,7 +244,7 @@ def test_exchange_program_is_theta_on_triangle_interiors(m, seed):
     c = charts_to_flags(random_chart_point(Triangulation.fan(3), m, seed))
     pts = admissible_indices(3, m)
     x = [c.delta(w) for w in pts]
-    _reverse_triangle(x, m)
+    _run_program(x, _reversal_program(m))
     after = dict(zip(pts, x))
     rev = theta(c)
     for i, j, k in pts:

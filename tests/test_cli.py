@@ -503,3 +503,30 @@ def test_json_commands_exit_zero_or_two_on_mutated_input(m, run, changes, data):
     assert code in (0, 2)
     if code == 2:
         assert out == ""
+
+
+@pytest.mark.parametrize("word,reason", [
+    ("[" * 5000 + "]" * 5000, "malformed JSON"),
+    ("[[1,3]", "malformed JSON"),
+    ("x" * 10000, "File name too long"),
+], ids=["nested", "unclosed", "long path"])
+def test_word_errors_are_short(capsys, word, reason):
+    # text that starts with "[" is read as JSON only, never as a file path,
+    # and no message echoes more than a short prefix of a long argument
+    cfg, _ = _gen_chart(4, 2)
+    code, out = run_cli(["act", "-", "--word", word], cfg)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert reason in json.loads(err)["error"]
+    assert len(err.encode()) < 200
+
+
+def test_output_over_the_digit_limit_exits_two(capsys):
+    # 4,001-digit values are within the input limit, but a flip multiplies
+    # them past the 4,300 digits Python converts to text
+    data = json.loads(_gen_chart(4, 2)[1])
+    for s, k in enumerate(sorted(data["values"])):
+        data["values"][k] = "%d/%d" % (10 ** 4000 + 10 * s + 1, 10 ** 3999)
+    code, out = run_cli(["flip", "-", "--diagonal", "1-3"], json.dumps(data))
+    assert (code, out) == (2, "")
+    assert "4300 digits" in json.loads(capsys.readouterr().err)["error"]

@@ -1,15 +1,56 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos import mutation
 from totpos.polygon import Triangulation, ChartPoint, chart_indices
-from totpos.mutation import exchange, flip_transport, transport, MutationError
+from totpos.mutation import (exchange, flip_transport, transport, MutationError,
+                             _flip_program)
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point)
 
 from conftest import random_triangulation, triangulations
+
+
+def _flip_transport_reference(p, d):
+    """The recursive flip the exchange program replaced, kept as an oracle:
+    each weight with j, l > 0 by the exchange relation, memoised, grounding
+    in the old chart (j = 0 or l = 0)."""
+    t = p.triangulation
+    a, b, c, e = t.quadrilateral(d)
+    n, m = t.n, p.m
+
+    def key(i, j, k, l):
+        idx = [0] * n
+        idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] = i, j, k, l
+        return tuple(idx)
+
+    memo = {}
+
+    def value(i, j, k, l):
+        if j == 0 or l == 0:
+            return p.values[key(i, j, k, l)]
+        w = (i, j, k, l)
+        if w not in memo:
+            memo[w] = exchange(
+                value(i + 1, j, k, l - 1), value(i, j - 1, k + 1, l),
+                value(i, j, k + 1, l - 1), value(i + 1, j - 1, k, l),
+                value(i + 1, j - 1, k + 1, l - 1))
+        return memo[w]
+
+    # weights of the face interiors: three positive parts summing to m
+    inner = [(i, j, m - i - j) for i in range(1, m - 1) for j in range(1, m - i)]
+    values = dict(p.values)
+    for i in range(1, m):
+        del values[key(i, 0, m - i, 0)]
+        values[key(0, i, 0, m - i)] = value(0, i, 0, m - i)
+    for i, j, k in inner:
+        del values[key(i, j, k, 0)], values[key(i, 0, j, k)]
+        values[key(i, j, 0, k)] = value(i, j, 0, k)
+        values[key(0, i, j, k)] = value(0, i, j, k)
+    return ChartPoint(t.flip(d), m, values)
 
 
 def exchange_instances(m):
@@ -205,3 +246,17 @@ def test_transport_finds_each_quadrilateral_once_per_flip(monkeypatch):
     transport(p, target)
     # once to find the flips along the path, once to transport across them
     assert len(calls) == 2 * flips
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(4, 10), st.integers(2, 7), st.data())
+def test_flip_program_matches_the_recursive_flip(n, m, data):
+    """Every diagonal of a drawn triangulation: the exchange program gives
+    the recursive flip's values, value for value, in C(m+1, 3) steps."""
+    t = data.draw(triangulations(n))
+    p = random_chart_point(t, m, data.draw(st.integers(0, 10 ** 6)))
+    for d in sorted(t.diagonals):
+        q = flip_transport(p, d)
+        assert q.values == _flip_transport_reference(p, d).values
+        assert q.triangulation == t.flip(d)
+    assert len(_flip_program(m)[1]) == comb(m + 1, 3)
