@@ -46,9 +46,13 @@ def _read_json(source):
         return _parse_json(fh, source)
 
 
-def _check_trials(trials):
+def _check_sizes(n, m, trials=1):
+    """Usage errors, before any enumeration: fewer than one trial, or an n-gon
+    chart at m of more than sys.maxsize coordinates, which no list can hold."""
     if trials < 1:
         raise UsageError("--trials must be at least 1, got %d" % trials)
+    if n >= 3 and m >= 2 and chart_dimension(n, m) > sys.maxsize:
+        raise UsageError("the %d-gon at m = %d has too many chart coordinates" % (n, m))
 
 
 def _emit(obj):
@@ -167,6 +171,7 @@ def _parser():
 
 
 def _cmd_gen(args):
+    _check_sizes(args.n, args.m)
     _emit(random_positive(args.n, args.m, args.seed, args.bound).to_json())
     return 0
 
@@ -229,10 +234,11 @@ def _cmd_act(args):
 
 
 def _cmd_verify_axioms(args):
-    _check_trials(args.trials)
     m = args.m
     if args.config is not None:
         m = _load(Configuration, _read_json(args.config)).m
+    # the largest polygon the axioms sample is the pentagon
+    _check_sizes(5, m, args.trials)
     if args.axiom == "all":
         ids = list(range(1, 9)) + ["glue"]
     elif args.axiom == "glue":
@@ -255,7 +261,7 @@ def _cmd_verify_axioms(args):
 
 
 def _cmd_verify_cactus(args):
-    _check_trials(args.trials)
+    _check_sizes(args.n, args.m, args.trials)
     reports = verify_relations(args.n, args.m, args.trials, args.seed)
     _emit(reports)
     return 0 if all(r["passes"] == r["trials"] for r in reports) else 1

@@ -1,18 +1,18 @@
 """The exchange relation, exchange programs, and chart transport along flips.
 
 An exchange program is a tuple of steps (t, out, inc, d) on a list of values
-x, each setting x[t] = (prod x[out] + prod x[inc]) / x[d].  ``_run_program``
-runs the flip's program here and the triangle reversal of ``cactus``.  A flip
-replaces the diagonal {a, c} of a quadrilateral (a, b, c, e) by {b, e}, in
-the C(m+1, 3) steps of Fock and Goncharov's rank-m flip.  All steps are
-subtraction free, so positivity propagates for free.
+x, each setting x[t] = (prod x[out] + prod x[inc]) / x[d] as one Fraction.
+``_run_program`` runs the flip's program here and the triangle reversal of
+``cactus``.  A flip replaces diagonal {a, c} of a quadrilateral (a, b, c, e)
+by {b, e}, in the C(m+1, 3) steps of Fock and Goncharov's rank-m flip.  All
+steps are subtraction free, so positivity propagates for free.
 """
 
-from functools import lru_cache, reduce
-from operator import mul
+from fractions import Fraction
+from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import ChartPoint, PolygonError, flip_path, index_at
+from .polygon import ChartPoint, PolygonError, flip_path
 
 
 class MutationError(ValueError):
@@ -27,11 +27,17 @@ def exchange(ab, cd, bc, ad, ac):
 
 
 def _run_program(x, steps):
-    """Run an exchange program in place on the list of values ``x``."""
-    get = x.__getitem__
+    """Run an exchange program in place on the list of Fractions ``x``.  With
+    a/b and c/e the products at out and inc, and f/g = x[d], a step forms
+    x[t] = (a*e + c*b)*g / (b*e*f) from ints as one Fraction, with one gcd."""
     for t, out, inc, d in steps:
-        # functools.reduce, unlike math.prod, multiplies nothing by the int 1
-        x[t] = (reduce(mul, map(get, out)) + reduce(mul, map(get, inc))) / x[d]
+        a = b = c = e = 1
+        for v in map(x.__getitem__, out):
+            a, b = a * v.numerator, b * v.denominator
+        for v in map(x.__getitem__, inc):
+            c, e = c * v.numerator, e * v.denominator
+        v = x[d]
+        x[t] = Fraction((a * e + c * b) * v.denominator, b * e * v.numerator)
 
 
 @lru_cache(maxsize=None)
@@ -58,9 +64,11 @@ def flip_transport(p, d):
     it.  Every other value carries over.
     """
     t = p.triangulation
-    quad = t.quadrilateral(d)
+    a, b, c, e = quad = t.quadrilateral(d)
     pts, steps = _flip_program(p.m)
-    keys = [index_at(t.n, quad, w) for w in pts]
+    # one list, rewritten for each weight, as in ``chart_indices``
+    idx = [0] * t.n
+    keys = [tuple(idx) for idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] in pts]
     values = dict(p.values)
     # the new chart's weights with j, l > 0 start unset: the program fills them
     x = [values.get(key) for key in keys]

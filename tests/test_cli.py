@@ -530,3 +530,18 @@ def test_output_over_the_digit_limit_exits_two(capsys):
     code, out = run_cli(["flip", "-", "--diagonal", "1-3"], json.dumps(data))
     assert (code, out) == (2, "")
     assert "4300 digits" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "4", str(10 ** 23)],
+    ["verify-axioms", "--m", str(10 ** 23), "--trials", "1"],
+    ["gen", str(10 ** 23), "2"],
+    ["verify-cactus", "--n", str(10 ** 23), "--m", "2", "--trials", "1"],
+], ids=["gen huge m", "verify-axioms huge m", "gen huge n", "verify-cactus huge n"])
+def test_sizes_too_large_to_enumerate_exit_two(capsys, args):
+    # the closed-form chart dimension exceeds sys.maxsize: refused before any
+    # enumeration, which would overflow or run without end
+    assert run_cli(args) == (2, "")
+    err = capsys.readouterr().err
+    assert "too many chart coordinates" in json.loads(err)["error"]
+    assert len(err.encode()) < 200

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from totpos import mutation
 from totpos.polygon import Triangulation, ChartPoint, chart_indices
 from totpos.mutation import (exchange, flip_transport, transport, MutationError,
-                             _flip_program)
+                             _flip_program, _run_program)
+from totpos.cactus import _reversal_program
+from totpos.flags import admissible_indices
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point)
 
@@ -260,3 +264,28 @@ def test_flip_program_matches_the_recursive_flip(n, m, data):
         assert q.values == _flip_transport_reference(p, d).values
         assert q.triangulation == t.flip(d)
     assert len(_flip_program(m)[1]) == comb(m + 1, 3)
+
+
+def _run_program_reference(x, steps):
+    """The exchange program evaluator on Fraction operators, kept as an
+    oracle: products, sum and quotient one operation at a time."""
+    get = x.__getitem__
+    for t, out, inc, d in steps:
+        x[t] = (reduce(mul, map(get, out)) + reduce(mul, map(get, inc))) / x[d]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 7), st.booleans(), st.data())
+def test_run_program_matches_the_fraction_evaluator(m, flip, data):
+    """Both programs, the flip's and the triangle reversal, on positive
+    Fractions with numerators and denominators up to 2**64: one Fraction per
+    step gives the operator-by-operator values, value for value."""
+    pts, steps = _flip_program(m) if flip else (admissible_indices(3, m),
+                                                _reversal_program(m))
+    part = st.integers(1, 2 ** 64)
+    x = [Fraction(data.draw(part), data.draw(part)) for _ in pts]
+    y = list(x)
+    _run_program(x, steps)
+    _run_program_reference(y, steps)
+    assert x == y
+    assert all(type(v) is Fraction for v in x)
