@@ -5,17 +5,17 @@ intervals [p..q].  On a positive point the generator acts by the
 sub-polygon reversal: the point's restriction to the interval is replaced
 by its reversal (the orthogonal flags of the mirrored vertices), and its
 restriction to the complementary interval is kept.  The action runs on
-chart values alone, with no flag and no determinant:
+chart values alone, with no flag and no determinant, on the chart's own
+triangulation T:
 
-1. transport the chart point to the fan at p, ``Triangulation.fan(n, p)``;
-2. fill the chart adapted to the interval (the cut {p, q}, the fan at q
-   inside, the fan at p outside) in three parts:
-   - values supported outside the interval carry over as they are, since
-     the outside halves of the two triangulations coincide;
+1. insert the chord {p, q} if T lacks it, one flip per crossing diagonal;
+2. fill the chart on T's diagonals with an end outside the interval and the
+   mirror images of T's diagonals inside, in three parts:
+   - values supported outside the interval carry over as they are;
    - each edge value inside is one input value relabelled: out[idx] =
      in[idx'] with idx'[mirror(w)] = m - idx[w];
-   - each triangle interior inside is the reversal of the mirrored fan
-     triangle, ``_reversal_program`` run by the shared ``mutation._run_program``.
+   - each face inside, its vertices in interval order, is reversed at its
+     mirror image by ``_reversal_program``, run by ``mutation._run_program``.
 
 The exchange program of one m is a sequence of C(m, 3) mutations of the
 Fock-Goncharov quiver of a triangle, the octahedron-recurrence form of the
@@ -34,8 +34,9 @@ import random
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, cyclic_interval, index_at, PolygonError
-from .mutation import transport, _run_program
+from .polygon import (Triangulation, ChartPoint, chords_cross, cyclic_interval, index_at,
+                      PolygonError)
+from .mutation import flip_transport, transport, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
 
@@ -97,14 +98,6 @@ def underlying_permutation(word, n):
     return tuple(perm)
 
 
-def _adapted_triangulation(n, iv):
-    """A triangulation cutting along {p, q}: inside fan at q, outside fan
-    at p."""
-    p, q = iv[0], iv[-1]
-    return Triangulation._of_chords(
-        n, [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)])
-
-
 @lru_cache(maxsize=None)
 def _reversal_program(m):
     """The exchange steps that reverse the interior values of one triangle.
@@ -147,13 +140,21 @@ def _reversal_program(m):
 
 
 def _act_on_chart(p, g):
-    """The generator on a chart point; the result lives on the adapted
-    triangulation of the interval."""
+    """The generator on a chart point.  Its triangulation T gains the chord
+    {p, q} by flips if it lacks it; the result lies on T's diagonals with an
+    end outside the interval and the mirror images of T's diagonals inside."""
     n, m = p.triangulation.n, p.m
     iv = g.interval(n)
-    values = transport(p, Triangulation.fan(n, iv[0])).values
-    inside = set(iv)
-    outside = [v - 1 for v in range(1, n + 1) if v not in inside]
+    a, q = iv[0], iv[-1]
+    # insert the chord: flip the side opposite a of the face at a that the
+    # chord crosses; the new side ends at a and crosses nothing, so there is
+    # one flip per diagonal crossing the chord (Hanke, Ottmann and Schuierer)
+    for _ in range(sum(chords_cross(d, (a, q), n) for d in p.triangulation.diagonals)):
+        sides = (tuple(v for v in f if v != a) for f in p.triangulation.triangles() if a in f)
+        p = flip_transport(p, next(d for d in sides if chords_cross(d, (a, q), n)))
+    t, values = p.triangulation, p.values
+    order = {v: s for s, v in enumerate(iv)}
+    outside = [v - 1 for v in range(1, n + 1) if v not in order]
     mirror = [g.mirror(v, n) - 1 for v in range(1, n + 1)]
     out = {}
     for idx, value in values.items():
@@ -165,35 +166,34 @@ def _act_on_chart(p, g):
                 if i:
                     edge[mirror[w]] = m - i
             out[tuple(edge)] = value
-    # the fan triangles (p, u1, u2) inside, each to its mirror image, whose
-    # vertices in interval order are (mirror(u2), mirror(u1), q)
+    # each face inside, its vertices (u1, u2, u3) in interval order, to its mirror
+    # image, (mirror(u3), mirror(u2), mirror(u1)) in interval order
     pts = admissible_indices(3, m)
-    for s in range(1, len(iv) - 1):
-        tri = (iv[0], iv[s], iv[s + 1])
-        x = [values[index_at(n, tri, w)] for w in pts]
-        _run_program(x, _reversal_program(m))
-        image = [g.mirror(v, n) for v in reversed(tri)]
-        # the reversed value at weight (k, i, j) is x(i, j, k)
-        for (i, j, k), value in zip(pts, x):
-            if i and j and k:
-                out[index_at(n, image, (k, i, j))] = value
-    return ChartPoint._of(_adapted_triangulation(n, iv), m, out)
-
-
-def _fan_chart(c):
-    return flags_to_charts(c, Triangulation.fan(c.n))
+    for f in t.triangles():
+        if all(v in order for v in f):
+            tri = sorted(f, key=order.get)
+            x = [values[index_at(n, tri, w)] for w in pts]
+            _run_program(x, _reversal_program(m))
+            image = [g.mirror(v, n) for v in reversed(tri)]
+            # the reversed value at weight (k, i, j) is x(i, j, k)
+            for (i, j, k), value in zip(pts, x):
+                if i and j and k:
+                    out[index_at(n, image, (k, i, j))] = value
+    chords = [d if any(v not in order for v in d) else [g.mirror(v, n) for v in d]
+              for d in t.diagonals]
+    return ChartPoint._of(Triangulation._of_chords(n, chords), m, out)
 
 
 def act_generator(x, g):
     """Apply one interval reversal to a chart point or a configuration.
 
-    A chart point comes back as a chart point on the interval's adapted
-    triangulation; a configuration comes back as a configuration, rebuilt
-    from that chart.
+    A chart point comes back as a chart point on its own triangulation with
+    the chord {p, q} put in and the inside mirrored; a configuration comes
+    back as a configuration, rebuilt from that chart.
     """
     if isinstance(x, ChartPoint):
         return _act_on_chart(x, g)
-    return charts_to_flags(_act_on_chart(_fan_chart(x), g))
+    return act_word(x, [g])
 
 
 def act_word(x, word):
@@ -201,7 +201,7 @@ def act_word(x, word):
     was given.  A configuration is converted to chart values once on the
     way in and once on the way out."""
     if word and not isinstance(x, ChartPoint):
-        return charts_to_flags(act_word(_fan_chart(x), word))
+        return charts_to_flags(act_word(flags_to_charts(x, Triangulation.fan(x.n)), word))
     for g in word:
         x = act_generator(x, g)
     return x
@@ -219,7 +219,7 @@ def _relation_instances(rng, n):
     out = {}
     s = _random_interval(rng, n)
     out["R1"] = ([s, s], [])
-    # disjoint pair: split the circle into two arcs with a gap on each side
+    # disjoint pair: two arcs of the circle; the gap on either side may be empty
     if n >= 4:
         l1 = rng.randint(2, n - 2)
         l2 = rng.randint(2, n - l1)

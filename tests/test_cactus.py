@@ -3,19 +3,27 @@ from hypothesis import given, settings, strategies as st
 
 from totpos.flags import (theta, iota, face, Configuration, sign_normalize, relabel,
                           admissible_indices)
-from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
+from totpos.polygon import (Triangulation, ChartPoint, chart_indices, chords_cross,
                             cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
-                           verify_relations, _adapted_triangulation,
-                           _reversal_program)
+                           verify_relations, _reversal_program)
 from totpos.mutation import transport, _run_program
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 import totpos.cactus as cactus_module
+import totpos.mutation as mutation
 import totpos.rational as rational
 
 from conftest import triangulations
+
+
+def _adapted_triangulation(n, iv):
+    """A triangulation cutting along {p, q}: inside fan at q, outside fan
+    at p."""
+    p, q = iv[0], iv[-1]
+    return Triangulation._of_chords(
+        n, [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)])
 
 
 def _act_generator_reference(c, g):
@@ -262,10 +270,54 @@ def test_chart_action_runs_no_elimination(monkeypatch):
     for p in points:
         for g in (IntervalGen(2, 4), IntervalGen(5, 2), IntervalGen(1, 6), IntervalGen(3, 4)):
             out = act_generator(p, g)
-            assert out.triangulation == _adapted_triangulation(6, g.interval(6))
+            # the result's triangulation has the chord {p, q}, a side of a
+            # face, and keeps the input's diagonals with an end outside the
+            # interval that do not cross the chord
+            iv = g.interval(6)
+            chord = (g.p, g.q)
+            assert any(set(chord) <= set(f) for f in out.triangulation.triangles())
+            assert {d for d in p.triangulation.diagonals
+                    if not set(d) <= set(iv) and not chords_cross(d, chord, 6)
+                    } <= out.triangulation.diagonals
             assert all(v > 0 for v in out.values.values())
             back = transport(act_generator(out, g), p.triangulation)
             assert back == p
+
+
+FAN6 = [(1, 3), (1, 4), (1, 5)]
+ZIGZAG7 = [(2, 7), (2, 6), (3, 6), (3, 5)]
+
+
+@pytest.mark.parametrize("n,diagonals,p,q,flips", [
+    (6, FAN6, 1, 4, 0),  # the fan at 1 has the chord
+    (6, FAN6, 2, 4, 1),  # the fan at 2 is three flips away
+    (6, FAN6, 5, 2, 2),
+    (6, FAN6, 3, 2, 0),  # the whole polygon
+    (6, FAN6, 3, 4, 0),  # a boundary edge
+    (7, ZIGZAG7, 1, 4, 4),  # every diagonal of the zigzag
+    (7, ZIGZAG7, 4, 7, 3),
+    (7, ZIGZAG7, 5, 2, 1),
+    (7, ZIGZAG7, 6, 2, 0),  # a diagonal of the zigzag
+])
+def test_chord_insertion_flips_each_crossing_diagonal_once(monkeypatch, n, diagonals,
+                                                           p, q, flips):
+    """A chart point takes one flip per input diagonal crossing {p, q}."""
+    t = Triangulation(n, diagonals)
+    calls = []
+    real = mutation.flip_transport
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(mutation, "flip_transport", counted)
+    monkeypatch.setattr(cactus_module, "flip_transport", counted, raising=False)
+    for m in (2, 3):
+        calls.clear()
+        point = random_chart_point(t, m, 17 * m)
+        act_generator(point, IntervalGen(p, q))
+        assert len(calls) == flips == sum(chords_cross(d, (p, q), t.n)
+                                          for d in t.diagonals)
 
 
 def test_configuration_word_is_converted_once_each_way(monkeypatch):

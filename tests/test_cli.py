@@ -505,6 +505,51 @@ def test_json_commands_exit_zero_or_two_on_mutated_input(m, run, changes, data):
         assert out == ""
 
 
+RUN_LENGTHS = st.sampled_from((1, 10, 100, 1000, 4300, 5000))
+NEST_DEPTHS = st.sampled_from((1, 10, 100, 1000, 10000, 100000))
+
+
+def _mutate_bytes(text, other, data):
+    """``text`` with one drawn change to its bytes: cut short, spliced onto a
+    tail of ``other``, one byte flipped, or a run of up to 5,000 digits or
+    100,000 "[" put in, at a drawn place."""
+    at = data.draw(st.integers(0, len(text)))
+    op = data.draw(st.sampled_from(("truncate", "splice", "flip", "digits", "nest")))
+    if op == "truncate":
+        return text[:at]
+    if op == "splice":
+        return text[:at] + other[data.draw(st.integers(0, len(other))):]
+    if op == "flip":  # the byte at ``at``; at the end there is none
+        return (text[:at] + bytes(b ^ data.draw(st.integers(1, 255)) for b in text[at:at + 1])
+                + text[at + 1:])
+    if op == "digits":  # on both sides of the 4,300 digits Python converts
+        run = b"%d" % data.draw(st.integers(0, 9)) * data.draw(RUN_LENGTHS)
+    else:  # on both sides of the recursion limit
+        run = b"[" * data.draw(NEST_DEPTHS)
+    return text[:at] + run + text[at:]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 3), st.sampled_from(FUZZ_RUNS), st.integers(1, 3), st.data())
+def test_json_commands_exit_zero_or_two_on_mutated_text(tmp_path_factory, m, run,
+                                                         changes, data):
+    """Every subcommand that reads JSON, on the bytes of a `gen` or `charts`
+    output of the square mutated as text and read from a file: exit 0, or
+    exit 2 with empty stdout; never 1, never a raise."""
+    args, kind = run
+    docs = [text.encode() for text in _gen_chart(4, m)]
+    text = docs[kind]
+    for _ in range(changes):
+        text = _mutate_bytes(text, docs[1 - kind], data)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(text)
+    code, out = run_cli([str(path) if a == "-" else a.replace("%d", str(m - 1))
+                         for a in args])
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+
+
 @pytest.mark.parametrize("word,reason", [
     ("[" * 5000 + "]" * 5000, "malformed JSON"),
     ("[[1,3]", "malformed JSON"),
