@@ -11,7 +11,9 @@ A configuration is an ordered tuple of n such flags taken modulo one global
 unimodular right multiplication.  Its invariants are the coordinates
 delta(idx): the determinant obtained by stacking, in vertex order, the first
 idx[k] rows of flag k, for each multi-index idx with sum m and at least two
-nonzero entries.  Equality of configurations is equality of all coordinates.
+nonzero entries.  Equality of configurations is equality of all coordinates;
+identical representatives decide it at once, since they give identical
+coordinates.
 
 The reversal map (reverse, with its edge and triangle cases iota and theta)
 is built from the orthogonal flag J F^{-T} J of a representative F, where J
@@ -172,10 +174,13 @@ class DecoratedFlag:
 class Configuration:
     """An ordered tuple of decorated flags modulo the global unimodular action.
 
-    A configuration is immutable, so each coordinate is computed once: delta
-    keeps a memo from multi-index to value, which all_deltas, same_point,
-    sign_normalize and every later reader share.  The memo belongs to this
-    object only; configurations built from it start with their own.
+    A configuration is immutable, so each coordinate is computed once:
+    _delta keeps a memo from multi-index to value, which all_deltas,
+    same_point, sign_normalize and every later reader share.  The memo
+    belongs to this object only; configurations built from it start with
+    their own.  delta is the checked entry point for indices from outside;
+    the library's own readers, whose indices come from admissible_indices or
+    chart_indices, call _delta and skip the check.
     """
 
     __slots__ = ("m", "n", "flags", "_deltas")
@@ -196,9 +201,13 @@ class Configuration:
         return "Configuration(n=%d, m=%d)" % (self.n, self.m)
 
     def delta(self, idx):
-        """The coordinate at a multi-index: one stacked determinant, taken
-        from the memo after the first call."""
-        idx = check_index(idx, self.n, self.m)
+        """The coordinate at a multi-index, which check_index validates first
+        (FlagError on a malformed one)."""
+        return self._delta(check_index(idx, self.n, self.m))
+
+    def _delta(self, idx):
+        """The coordinate at a valid multi-index tuple, unchecked: one stacked
+        determinant, taken from the memo after the first call."""
         v = self._deltas.get(idx)
         if v is None:
             rows = []
@@ -212,11 +221,11 @@ class Configuration:
 
     def all_deltas(self):
         """Every admissible coordinate, as a dict multi-index -> value."""
-        return {idx: self.delta(idx) for idx in admissible_indices(self.n, self.m)}
+        return {idx: self._delta(idx) for idx in admissible_indices(self.n, self.m)}
 
     def first_nonpositive(self):
         for idx in admissible_indices(self.n, self.m):
-            if self.delta(idx) <= 0:
+            if self._delta(idx) <= 0:
                 return idx
         return None
 
@@ -227,9 +236,19 @@ class Configuration:
         return all(v != 0 for v in self.all_deltas().values())
 
     def same_point(self, other):
-        """Equality as configurations: every coordinate agrees exactly."""
-        return (self.n == other.n and self.m == other.m
-                and self.all_deltas() == other.all_deltas())
+        """Equality as configurations: every coordinate agrees exactly.
+
+        Identical representatives give identical coordinates, so they decide
+        it without arithmetic (charts_to_flags fixes its gauge from the point
+        alone).  Otherwise the coordinates are compared in admissible order,
+        through the unchecked _delta, up to the first that differs.
+        """
+        if self.n != other.n or self.m != other.m:
+            return False
+        if all(f.rep == g.rep for f, g in zip(self.flags, other.flags)):
+            return True
+        return all(self._delta(idx) == other._delta(idx)
+                   for idx in admissible_indices(self.n, self.m))
 
     # -- serialization ----------------------------------------------------
 
@@ -268,7 +287,7 @@ def sign_normalize(c):
     nvars = n * (m - 1)
     pivots = {}  # pivot bit -> (mask, rhs)
     for idx in admissible_indices(n, m):
-        v = c.delta(idx)
+        v = c._delta(idx)
         if v == 0:
             raise NotGenericError(idx)
         mask = 0

@@ -7,7 +7,7 @@ labels here; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
 from collections import Counter
 from itertools import combinations, pairwise
 
-from .flags import admissible_indices
+from .flags import admissible_indices, check_index
 from .rational import scalar, scalar_str
 
 
@@ -307,8 +307,15 @@ class ChartPoint:
 
 
 def edge_values(config, a, b, m):
-    """The m-1 coordinates of a configuration supported on edge {a, b}."""
-    return [config.delta(index_at(config.n, (a, b), (i, m - i))) for i in range(1, m)]
+    """The m-1 coordinates of a configuration supported on edge {a, b}.
+
+    The indices share one support and one sum, so checking the first
+    validates the edge and m for all of them (FlagError otherwise).
+    """
+    idxs = [index_at(config.n, (a, b), (i, m - i)) for i in range(1, m)]
+    if idxs:
+        check_index(idxs[0], config.n, config.m)
+    return [config._delta(idx) for idx in idxs]
 
 
 def glue_check(assignment, t):

@@ -37,7 +37,7 @@ def flags_to_charts(config, t):
                            % (t.n, config.n))
     values = {}
     for idx in chart_indices(t, config.m):
-        v = config.delta(idx)
+        v = config._delta(idx)
         if v <= 0:
             raise ChartValueError(idx, v)
         values[idx] = v

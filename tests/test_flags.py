@@ -3,15 +3,19 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from totpos import flags
 from totpos.rational import Mat, det
 from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
                           check_index, sign_normalize, relabel, rotate,
                           rotate_inv, face, iota, theta, reverse, FlagError,
                           NotGenericError, SignNormalizeError)
-from totpos.reconstruct import random_positive
+from totpos.polygon import Triangulation, ChartPoint, index_at
+from totpos.reconstruct import (random_positive, random_chart_point,
+                                charts_to_flags, flags_to_charts)
 
-from conftest import det_oracle
+from conftest import det_oracle, random_triangulation
 from test_calibration import antidiagonal
 
 
@@ -271,3 +275,99 @@ def test_all_deltas_unchanged_by_same_point_and_by_callers():
     returned = c.all_deltas()
     returned[next(iter(returned))] = Fraction(0)
     assert c.all_deltas() == before
+
+
+def _unimodular_change_of_basis(draw, m):
+    """A det-1 integer matrix L U other than the identity: L lower and U
+    upper unitriangular, U with a nonzero corner, so that U != L^{-1}."""
+    entry = st.integers(-3, 3)
+    corner = draw(st.integers(1, 3))
+    rows = []
+    for i in range(m):
+        rows.append([1 if i == j else (draw(entry) if j < i else 0) for j in range(m)])
+    lower = Mat(rows)
+    upper = Mat([[1 if i == j else (corner if (i, j) == (0, m - 1) else
+                                    draw(entry) if j > i else 0)
+                  for j in range(m)] for i in range(m)])
+    return lower * upper
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 10 ** 6),
+       st.sampled_from(["identical", "basis", "row move", "last row", "unequal"]),
+       st.data())
+def test_same_point_agrees_with_the_full_comparison(n, m, seed, kind, data):
+    p = flags_to_charts(random_positive(n, m, seed), Triangulation.fan(n))
+    a = charts_to_flags(p)
+    k = data.draw(st.integers(0, n - 1))
+    moved = list(a.flags)
+    if kind == "identical":
+        b = charts_to_flags(p)
+    elif kind == "basis":
+        g = _unimodular_change_of_basis(data.draw, m)
+        b = Configuration([DecoratedFlag(f.rep * g) for f in a.flags])
+    elif kind == "row move":
+        i = data.draw(st.integers(0, m - 2))
+        j = data.draw(st.integers(i + 1, m - 1))
+        x = data.draw(st.sampled_from([-2, -1, Fraction(1, 3), 1, 5]))
+        moved[k] = DecoratedFlag(moved[k].rep.add_multiple_of_row(j, i, x))
+        b = Configuration(moved)
+    elif kind == "last row":
+        x = data.draw(st.sampled_from([-1, 2, Fraction(-3, 7)]))
+        moved[k] = DecoratedFlag(moved[k].rep.scale_row(m - 1, x),
+                                 require_unimodular=False)
+        b = Configuration(moved)
+    else:
+        values = dict(p.values)
+        idx = data.draw(st.sampled_from(sorted(values)))
+        values[idx] += data.draw(st.sampled_from([1, Fraction(1, 2)]))
+        b = charts_to_flags(ChartPoint(p.triangulation, m, values))
+    identical = all(f.rep == g.rep for f, g in zip(a.flags, b.flags))
+    assert identical == (kind == "identical")
+    full = Configuration(a.flags).all_deltas() == Configuration(b.flags).all_deltas()
+    assert full == (kind != "unequal")
+    assert a.same_point(b) == b.same_point(a) == full
+
+
+def test_same_point_on_identical_representatives_does_no_arithmetic(monkeypatch):
+    p = random_chart_point(Triangulation.fan(6), 3, 41)
+    a, b = charts_to_flags(p), charts_to_flags(p)
+
+    def refuse(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(flags, "_det_cleared", refuse)
+    assert a.same_point(b) and b.same_point(a)
+    assert a._deltas == {} and b._deltas == {}
+
+
+def test_same_point_stops_at_the_first_differing_coordinate():
+    n, m = 6, 3
+    p = random_chart_point(Triangulation.fan(n), m, 42)
+    first = admissible_indices(n, m)[0]
+    # the first admissible index lies on the edge {n - 1, n} of the fan
+    assert first == index_at(n, (n - 1, n), (1, m - 1))
+    values = dict(p.values)
+    values[first] *= 2
+    a, b = charts_to_flags(p), charts_to_flags(ChartPoint(p.triangulation, m, values))
+    assert not a.same_point(b)
+    assert list(a._deltas) == list(b._deltas) == [first]
+
+
+def test_only_the_public_delta_checks_its_index(monkeypatch):
+    calls = []
+
+    def counting(idx, n, m):
+        calls.append(idx)
+        return check_index(idx, n, m)
+
+    monkeypatch.setattr(flags, "check_index", counting)
+    c = random_positive(5, 3, 17)
+    flipped = Configuration([c.flags[0].scale_rows([-1, -1, 1])] + list(c.flags[1:]))
+    assert c.all_deltas()
+    assert sign_normalize(flipped).is_positive()
+    point = flags_to_charts(Configuration(c.flags), random_triangulation(5, 3))
+    assert charts_to_flags(point).same_point(c)
+    assert calls == []
+    assert c.delta((1, 0, 2, 0, 0)) == c.all_deltas()[(1, 0, 2, 0, 0)]
+    assert calls == [(1, 0, 2, 0, 0)]
