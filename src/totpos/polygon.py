@@ -166,42 +166,80 @@ class Triangulation:
         return cls(data["n"], data["diagonals"])
 
 
-def flip_path(t1, t2):
-    """A diagonal sequence transforming t1 into t2, routed through the fan
-    at the vertex with the most diagonals in t1 and t2 together (ties go to
-    the lowest label).  Replaying the flips on t1 ends at t2.
+def _beyond(t):
+    """The third vertex of the face beyond each side: ascending face triples
+    run counterclockwise, so (u, w, v) is a face exactly when
+    ``_beyond(t)[v, u] == w``."""
+    beyond = {}
+    for x, y, z in t._faces:
+        beyond[x, y], beyond[y, z], beyond[z, x] = z, x, y
+    return beyond
 
-    Each flip toward the fan adds one diagonal at its apex, so each half
-    takes n - 3 flips less the apex's diagonals in that triangulation.
+
+def _fan_flips(beyond, own, piece, apex):
+    """The flips to the fan at ``apex`` inside ``piece``, an ascending vertex
+    list bounded by polygon edges and diagonals outside ``own``, as (flipped,
+    created) pairs of ascending diagonals, read off the faces whose
+    ``_beyond`` map is given.
+
+    Flipping the side (u, v) of face (a, u, v) at the apex a joins a to w,
+    where (u, w, v) is the face beyond (u, v); (u, w) and (w, v) then lie
+    opposite a, and the faces beyond them are still the original ones.
+    """
+    i = piece.index(apex)
+    u, last = piece[(i + 1) % len(piece)], piece[i - 1]
+    sides = []
+    while u != last:  # the faces at the apex, counterclockwise
+        v = beyond[apex, u]
+        sides.append((u, v))
+        u = v
+    flips = []
+    while sides:
+        u, v = sides.pop()
+        d = (u, v) if u < v else (v, u)
+        if d in own:
+            w = beyond[v, u]
+            flips.append((d, (apex, w) if apex < w else (w, apex)))
+            sides += [(u, w), (w, v)]
+    return flips
+
+
+def flip_path(t1, t2):
+    """A diagonal sequence transforming t1 into t2 that never flips a
+    diagonal of both (Sleator, Tarjan and Thurston).  Replaying the flips on
+    t1 ends at t2.
+
+    The shared diagonals cut the polygon into pieces; flips in different
+    pieces commute.  Each piece goes through the fan at its vertex with the
+    most unshared diagonals of t1 and t2 in the piece (ties go to the lowest
+    label): a piece with k + 3 vertices takes k flips less the apex's
+    diagonals in each half.
     """
     if t1.n != t2.n:
         raise PolygonError("triangulations of different polygons")
-    if t1 == t2:
-        return []
-    degree = Counter(v for t in (t1, t2) for d in t.diagonals for v in d)
-    apex = min(range(1, t1.n + 1), key=lambda v: (-degree[v], v))
-
-    def path_to_fan(t):
-        """The diagonals flipped on the way from t to the fan at the apex,
-        and the diagonals each flip created."""
-        flipped, created = [], []
-        while True:
-            # a face at the apex whose opposite side is a diagonal; when
-            # there is none, every face is at the apex: t is the fan
-            d = next((d for d in (tuple(v for v in f if v != apex)
-                                  for f in t.triangles() if apex in f)
-                      if d in t.diagonals), None)
-            if d is None:
-                return flipped, created
-            a, b, c, e = t.quadrilateral(d)
-            t = t._flip(a, b, c, e)
-            flipped.append(d)
-            created.append((min(b, e), max(b, e)))
-
-    path, _ = path_to_fan(t1)
-    # flipping t2's created diagonals in reverse order leads from the fan
-    # back to t2
-    return path + path_to_fan(t2)[1][::-1]
+    shared = t1.diagonals & t2.diagonals
+    own1, own2 = t1.diagonals - shared, t2.diagonals - shared
+    # each piece is an ascending vertex list, its boundary counterclockwise
+    pieces = [list(range(1, t1.n + 1))]
+    for a, b in sorted(shared):
+        s = next(s for s in pieces if a in s and b in s)
+        pieces.remove(s)
+        i, j = s.index(a), s.index(b)
+        pieces += [s[i:j + 1], s[:i + 1] + s[j:]]
+    beyond1, beyond2 = _beyond(t1), _beyond(t2)
+    path = []
+    for s in pieces:
+        if len(s) < 4:
+            continue
+        inside = set(s)
+        degree = Counter(v for d in own1 | own2
+                         if d[0] in inside and d[1] in inside for v in d)
+        apex = min(s, key=lambda v: (-degree[v], v))
+        path += [d for d, _ in _fan_flips(beyond1, own1, s, apex)]
+        # flipping t2's created diagonals in reverse order leads from the fan
+        # back to t2
+        path += [c for _, c in reversed(_fan_flips(beyond2, own2, s, apex))]
+    return path
 
 
 def index_at(n, vertices, weights):

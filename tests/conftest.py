@@ -70,6 +70,22 @@ def triangulations(draw, n):
     return Triangulation(n, diagonals)
 
 
+@st.composite
+def sharing_pairs(draw, n):
+    """Two triangulations of the n-gon, n >= 4, with a drawn nonempty set of
+    diagonals in common: the second is the first after random flips of its
+    other diagonals."""
+    t1 = draw(triangulations(n))
+    keep = draw(st.sets(st.sampled_from(sorted(t1.diagonals)), min_size=1))
+    t2 = t1
+    for _ in range(draw(st.integers(0, 2 * n))):
+        free = sorted(t2.diagonals - keep)
+        if not free:
+            break
+        t2 = t2.flip(draw(st.sampled_from(free)))
+    return t1, t2
+
+
 # The directory holding the `totpos` package this test process imported.
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(totpos.__file__)))
 

@@ -10,7 +10,7 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
 from totpos.flags import Configuration
 from totpos.reconstruct import flags_to_charts, random_positive, random_chart_point
 
-from conftest import random_triangulation, triangulations
+from conftest import random_triangulation, sharing_pairs, triangulations
 
 
 def test_triangulation_validation():
@@ -95,22 +95,43 @@ def _degree(t, v):
     return sum(v in d for d in t.diagonals)
 
 
+def _pieces(t1, t2):
+    """The vertex sets of the pieces that the shared diagonals cut the
+    polygon into, as t1's faces joined across its unshared diagonals."""
+    pieces = [set(f) for f in t1.triangles()]
+    for d in t1.diagonals - t2.diagonals:
+        a, b = [s for s in pieces if set(d) <= s]  # the two sides of d
+        pieces.remove(b)
+        a |= b
+    return pieces
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(4, 12).flatmap(lambda n: st.tuples(triangulations(n), triangulations(n))))
+@given(st.integers(4, 12).flatmap(lambda n: st.one_of(
+    st.tuples(triangulations(n), triangulations(n)), sharing_pairs(n))))
 def test_flip_path_routes_through_the_busiest_fan(pair):
     t1, t2 = pair
     n = t1.n
+    shared = t1.diagonals & t2.diagonals
     path = flip_path(t1, t2)
     t = t1
     for d in path:
+        assert d not in shared
         t = t.flip(d)
     assert t == t2
-    if t1 != t2:
-        # each half takes n - 3 - deg flips at the best apex, and never more
-        # than the route through the fan at vertex 1
-        best = max(_degree(t1, v) + _degree(t2, v) for v in range(1, n + 1))
-        assert len(path) == 2 * (n - 3) - best
-        assert len(path) <= 2 * (n - 3) - _degree(t1, 1) - _degree(t2, 1)
+    # each piece with k + 3 vertices takes 2k flips less the most unshared
+    # diagonals of t1 and t2 at one of its vertices
+    unshared = t1.diagonals ^ t2.diagonals
+    expected = 0
+    for s in _pieces(t1, t2):
+        k = len(s) - 3
+        inside = [d for d in unshared if set(d) <= s]
+        expected += 2 * k - max(sum(v in d for d in inside) for v in s)
+    assert len(path) == expected
+    # never longer than the route through the fan at the busiest vertex of
+    # the whole polygon, and never shorter than the unshared diagonals
+    best = max(_degree(t1, v) + _degree(t2, v) for v in range(1, n + 1))
+    assert len(t1.diagonals - t2.diagonals) <= len(path) <= 2 * (n - 3) - best
     for p in range(1, n + 1):
         assert len(flip_path(t1, Triangulation.fan(n, p))) == n - 3 - _degree(t1, p)
 
