@@ -4,15 +4,17 @@ An exchange program is a tuple of steps (t, out, inc, d) on a list of values
 x, each setting x[t] = (prod x[out] + prod x[inc]) / x[d] as one Fraction.
 ``_run_program`` runs the flip's program here and the triangle reversal of
 ``cactus``.  A flip replaces diagonal {a, c} of a quadrilateral (a, b, c, e)
-by {b, e}, in the C(m+1, 3) steps of Fock and Goncharov's rank-m flip.  All
-steps are subtraction free, so positivity propagates for free.
+by {b, e}, in the C(m+1, 3) steps of Fock and Goncharov's rank-m flip; all
+are subtraction free, so positivity propagates for free.  ``transport`` runs
+each flip's program in place on one dict, along the quadrilaterals that
+``flip_path`` reads off the faces.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import ChartPoint, PolygonError, flip_path
+from .polygon import ChartPoint, _flip_quadrilaterals
 
 
 class MutationError(ValueError):
@@ -55,21 +57,14 @@ def _flip_program(m):
     return pts, steps
 
 
-def flip_transport(p, d):
-    """Chart point of the flipped triangulation for the same underlying point.
-
-    Only the quadrilateral (a, b, c, e) around d = {a, c} changes: the {a, c}
-    edge and the interiors of faces (a, b, c) and (a, c, e) leave the chart,
-    and the {b, e} edge and the interiors of (a, b, e) and (b, c, e) join
-    it.  Every other value carries over.
-    """
-    t = p.triangulation
-    a, b, c, e = quad = t.quadrilateral(d)
-    pts, steps = _flip_program(p.m)
+def _flip_values(values, n, m, a, b, c, e):
+    """Flip {a, c} of quadrilateral (a, b, c, e) in place on chart values of
+    the n-gon: only the {a, c} edge and the interiors of faces (a, b, c) and
+    (a, c, e) give way, to the {b, e} edge and those of (a, b, e), (b, c, e)."""
+    pts, steps = _flip_program(m)
     # one list, rewritten for each weight, as in ``chart_indices``
-    idx = [0] * t.n
+    idx = [0] * n
     keys = [tuple(idx) for idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] in pts]
-    values = dict(p.values)
     # the new chart's weights with j, l > 0 start unset: the program fills them
     x = [values.get(key) for key in keys]
     _run_program(x, steps)
@@ -78,19 +73,24 @@ def flip_transport(p, d):
             values.pop(key, None)  # the old chart's, or none when j, l > 0 too
         elif j and l:
             values[key] = value
+
+
+def flip_transport(p, d):
+    """Chart point of the triangulation flipped at d, for the same point."""
+    t = p.triangulation
+    quad, values = t.quadrilateral(d), dict(p.values)
+    _flip_values(values, t.n, p.m, *quad)
     return ChartPoint._of(t._flip(*quad), p.m, values)
 
 
 def transport(p, target):
-    """Compose flip transports along a flip path to the target triangulation.
-
-    The result does not depend on the chosen path; the verification harness
-    checks this rather than assuming it.
-    """
-    if target.n != p.triangulation.n:
-        raise PolygonError("mismatched polygon sizes")
-    for d in flip_path(p.triangulation, target):
-        p = flip_transport(p, d)
-    if p.triangulation != target:
-        raise MutationError("flip path ended at %r, not at %r" % (p.triangulation, target))
-    return p
+    """Chart point of the target triangulation for the same point; the harness
+    checks, rather than assumes, that it does not depend on the path."""
+    values, diagonals = dict(p.values), set(p.triangulation.diagonals)
+    for a, b, c, e in _flip_quadrilaterals(p.triangulation, target):
+        _flip_values(values, target.n, p.m, a, b, c, e)
+        diagonals.remove((a, c))
+        diagonals.add((b, e) if b < e else (e, b))
+    if diagonals != target.diagonals:
+        raise MutationError("flip path ended at %s, not at %r" % (sorted(diagonals), target))
+    return ChartPoint._of(target, p.m, values)

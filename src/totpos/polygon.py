@@ -178,14 +178,11 @@ def _beyond(t):
 
 def _fan_flips(beyond, own, piece, apex):
     """The flips to the fan at ``apex`` inside ``piece``, an ascending vertex
-    list bounded by polygon edges and diagonals outside ``own``, as (flipped,
-    created) pairs of ascending diagonals, read off the faces whose
-    ``_beyond`` map is given.
-
-    Flipping the side (u, v) of face (a, u, v) at the apex a joins a to w,
-    where (u, w, v) is the face beyond (u, v); (u, w) and (w, v) then lie
-    opposite a, and the faces beyond them are still the original ones.
-    """
+    list bounded by polygon edges and diagonals outside ``own``, read off the
+    faces whose ``_beyond`` map is given.  Flipping side (u, v) of face
+    (apex, u, v) joins the apex to w for the face (u, w, v) beyond it: the
+    counterclockwise quadrilateral (apex, u, w, v).  (u, w) and (w, v) then
+    lie opposite the apex, with the original faces beyond them."""
     i = piece.index(apex)
     u, last = piece[(i + 1) % len(piece)], piece[i - 1]
     sides = []
@@ -196,18 +193,17 @@ def _fan_flips(beyond, own, piece, apex):
     flips = []
     while sides:
         u, v = sides.pop()
-        d = (u, v) if u < v else (v, u)
-        if d in own:
+        if ((u, v) if u < v else (v, u)) in own:
             w = beyond[v, u]
-            flips.append((d, (apex, w) if apex < w else (w, apex)))
+            flips.append((apex, u, w, v))
             sides += [(u, w), (w, v)]
     return flips
 
 
-def flip_path(t1, t2):
-    """A diagonal sequence transforming t1 into t2 that never flips a
-    diagonal of both (Sleator, Tarjan and Thurston).  Replaying the flips on
-    t1 ends at t2.
+def _flip_quadrilaterals(t1, t2):
+    """The flips of a path from t1 to t2 that never flips a diagonal of both
+    (Sleator, Tarjan and Thurston), as the quadrilaterals (a, b, c, e) of
+    ``Triangulation.quadrilateral``: counterclockwise, flipping {a, c}, a < c.
 
     The shared diagonals cut the polygon into pieces; flips in different
     pieces commute.  Each piece goes through the fan at its vertex with the
@@ -235,11 +231,15 @@ def flip_path(t1, t2):
         degree = Counter(v for d in own1 | own2
                          if d[0] in inside and d[1] in inside for v in d)
         apex = min(s, key=lambda v: (-degree[v], v))
-        path += [d for d, _ in _fan_flips(beyond1, own1, s, apex)]
-        # flipping t2's created diagonals in reverse order leads from the fan
-        # back to t2
-        path += [c for _, c in reversed(_fan_flips(beyond2, own2, s, apex))]
-    return path
+        path += [(u, w, v, a) for a, u, w, v in _fan_flips(beyond1, own1, s, apex)]
+        # t2's created diagonals {apex, w}, flipped in reverse order, lead back to t2
+        path += reversed(_fan_flips(beyond2, own2, s, apex))
+    return [(a, b, c, e) if a < c else (c, e, a, b) for a, b, c, e in path]
+
+
+def flip_path(t1, t2):
+    """The flipped diagonals of ``_flip_quadrilaterals``, from t1 to t2."""
+    return [(a, c) for a, _, c, _ in _flip_quadrilaterals(t1, t2)]
 
 
 def index_at(n, vertices, weights):

@@ -29,6 +29,13 @@ def run_cli(argv, stdin=""):
         sys.stdin, sys.stdout = old_in, old_out
 
 
+def _exits_two(capsys, argv, stdin=""):
+    """Run the CLI in process: exit 2, empty stdout and a JSON error."""
+    code, out = run_cli(argv, stdin)
+    assert (code, out) == (2, "")
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
 def test_dim():
     code, out = run_cli(["dim", "8", "4"])
     assert (code, out) == (0, "57\n")
@@ -110,20 +117,14 @@ def test_usage_errors_exit_two():
 
 @pytest.mark.parametrize("word", ['[[1,2,3]]', '[[1]]', '"x"', '{"1":2}', '5',
                                   '[[1.5,3]]', '[[true,3]]'])
-def test_malformed_word_exits_two(word):
+def test_malformed_word_exits_two(capsys, word):
     _, cfg = run_cli(["gen", "5", "2", "--seed", "7"])
-    out = run_totpos(["act", "-", "--word", word], cfg)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+    _exits_two(capsys, ["act", "-", "--word", word], cfg)
 
 
 @pytest.mark.parametrize("data", ['5', 'null', 'true', '"x"'])
-def test_act_on_non_object_exits_two(data):
-    out = run_totpos(["act", "-", "--word", "[[1,2]]"], data)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+def test_act_on_non_object_exits_two(capsys, data):
+    _exits_two(capsys, ["act", "-", "--word", "[[1,2]]"], data)
 
 
 def _with_zero_denominator(data, key):
@@ -139,17 +140,14 @@ def _with_zero_denominator(data, key):
                                   ["transport", "-", "--diagonals", "2-4,2-5"],
                                   ["act", "-", "--word", "[[1,3]]"]])
 @pytest.mark.parametrize("bad", ["zero denominator", "values not an object"])
-def test_malformed_chart_values_exit_two(args, bad):
+def test_malformed_chart_values_exit_two(capsys, args, bad):
     _, cfg = run_cli(["gen", "5", "2", "--seed", "3"])
     _, chart = run_cli(["charts", "-"], cfg)
     if bad == "zero denominator":
         chart = _with_zero_denominator(chart, "values")
     else:
         chart = json.dumps(dict(json.loads(chart), values=[]))
-    out = run_totpos(args, chart)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+    _exits_two(capsys, args, chart)
 
 
 def _with_non_integer(chart, field):
@@ -164,24 +162,18 @@ def _with_non_integer(chart, field):
 
 
 @pytest.mark.parametrize("field", ["m", "n", "diagonal end"])
-def test_non_integer_chart_sizes_exit_two(field):
+def test_non_integer_chart_sizes_exit_two(capsys, field):
     # int() would truncate 2.9, 5.5 and 3.7 to a valid chart
     _, cfg = run_cli(["gen", "5", "2", "--seed", "1"])
     _, chart = run_cli(["charts", "-"], cfg)
-    out = run_totpos(["flip", "-", "--diagonal", "1-3"], _with_non_integer(chart, field))
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+    _exits_two(capsys, ["flip", "-", "--diagonal", "1-3"], _with_non_integer(chart, field))
 
 
 @pytest.mark.parametrize("args", [["delta", "-", "--index", "1,1,0,0"],
                                   ["act", "-", "--word", "[[1,3]]"]])
-def test_zero_denominator_in_flag_exits_two(args):
+def test_zero_denominator_in_flag_exits_two(capsys, args):
     _, cfg = run_cli(["gen", "4", "2", "--seed", "3"])
-    out = run_totpos(args, _with_zero_denominator(cfg, "flags"))
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+    _exits_two(capsys, args, _with_zero_denominator(cfg, "flags"))
 
 
 def test_parser_is_built_once_and_reused():
@@ -200,11 +192,8 @@ def test_parser_is_built_once_and_reused():
                                   ["verify-axioms", "--trials", "0"],
                                   ["verify-cactus", "--trials", "-2"],
                                   ["verify-cactus", "--trials", "0"]])
-def test_out_of_range_sizes_exit_two(args):
-    out = run_totpos(args)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+def test_out_of_range_sizes_exit_two(capsys, args):
+    _exits_two(capsys, args)
 
 
 def test_reading_a_file_closes_it(tmp_path, v_config):
@@ -216,11 +205,11 @@ def test_reading_a_file_closes_it(tmp_path, v_config):
     assert (out.stdout, out.stderr) == ("2\n", "")
 
 
-def test_act_at_m5():
-    cfg = run_totpos(["gen", "5", "5", "--seed", "1"])
-    assert cfg.returncode == 0, cfg.stderr
-    acted = run_totpos(["act", "-", "--word", "[[1,3]]"], cfg.stdout)
-    assert acted.returncode == 0, acted.stderr
+def test_act_at_m5(capsys):
+    code, cfg = run_cli(["gen", "5", "5", "--seed", "1"])
+    assert code == 0, capsys.readouterr().err
+    code, _ = run_cli(["act", "-", "--word", "[[1,3]]"], cfg)
+    assert code == 0, capsys.readouterr().err
 
 
 def test_svg_output(tmp_path):
@@ -301,7 +290,7 @@ def test_act_stdout_matches_recorded_digests(n, m, seed, word, on_config, on_cha
 
 @pytest.mark.parametrize("spellings", [{"00,0,1,1": "999", " 0 ,0 ,1 ,1": "5"},
                                        {"0,+0,1,1": "5/19"}])
-def test_chart_index_spellings_exit_two(spellings):
+def test_chart_index_spellings_exit_two(capsys, spellings):
     # each key parses to the index (0, 0, 1, 1); only "0,0,1,1" is its form
     _, cfg = run_cli(["gen", "4", "2", "--seed", "1"])
     _, chart = run_cli(["charts", "-"], cfg)
@@ -309,10 +298,7 @@ def test_chart_index_spellings_exit_two(spellings):
     if len(spellings) == 1:
         del data["values"]["0,0,1,1"]
     data["values"].update(spellings)
-    out = run_totpos(["flip", "-", "--diagonal", "1-3"], json.dumps(data))
-    assert out.returncode == 2, out.stdout
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+    _exits_two(capsys, ["flip", "-", "--diagonal", "1-3"], json.dumps(data))
 
 
 # sha256 of the `gen N M --seed 1` stdout, recorded from the reconstruction
@@ -398,12 +384,9 @@ def _config_with_float_n():
     (["transport", "-", "--diagonals", "2-4"], _chart_with_true_value),
     (["charts", "-"], _config_with_float_n),
 ])
-def test_json_booleans_and_float_sizes_exit_two(args, data):
+def test_json_booleans_and_float_sizes_exit_two(capsys, args, data):
     # a JSON true is not the number 1, and 4.0 is not the size 4
-    out = run_totpos(args, data if isinstance(data, str) else data())
-    assert out.returncode == 2, out.stdout
-    assert out.stdout == ""
-    assert "error" in json.loads(out.stderr)
+    _exits_two(capsys, args, data if isinstance(data, str) else data())
 
 
 # values put into a valid document, as JSON text so that each use is a new
@@ -460,13 +443,6 @@ UNDECODABLE = {
     "too deep": b"[" * 100000 + b"]" * 100000,
     "too many digits": b'{"m": ' + b"9" * 5000 + b"}",
 }
-
-
-def _exits_two(capsys, argv, stdin=""):
-    """Run the CLI in process: exit 2, empty stdout and a JSON error."""
-    code, out = run_cli(argv, stdin)
-    assert (code, out) == (2, "")
-    assert "error" in json.loads(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("kind", sorted(UNDECODABLE))

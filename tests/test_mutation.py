@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos import mutation
-from totpos.polygon import Triangulation, ChartPoint, chart_indices
+from totpos.polygon import Triangulation, ChartPoint, chart_indices, flip_path
 from totpos.mutation import (exchange, flip_transport, transport, MutationError,
                              _flip_program, _run_program)
 from totpos.cactus import _reversal_program
@@ -244,22 +244,55 @@ def test_transport_between_sharing_triangulations_matches_the_oracle(pair, m, se
 
 def test_transport_raises_when_the_path_misses_the_target(monkeypatch):
     p = random_chart_point(Triangulation.fan(5), 2, 1)
-    monkeypatch.setattr(mutation, "flip_path", lambda t1, t2: [])
+    real = mutation._flip_quadrilaterals
+    monkeypatch.setattr(mutation, "_flip_quadrilaterals", lambda t1, t2: [])
+    with pytest.raises(MutationError):
+        transport(p, Triangulation.fan(5, apex=3))
+    # a path one flip short: only the tracked diagonal set sees it
+    assert real(p.triangulation, Triangulation.fan(5, apex=3))
+    monkeypatch.setattr(mutation, "_flip_quadrilaterals", lambda t1, t2: real(t1, t2)[:-1])
     with pytest.raises(MutationError):
         transport(p, Triangulation.fan(5, apex=3))
 
 
-def test_transport_finds_each_quadrilateral_once_per_flip(monkeypatch):
+def test_transport_finds_no_quadrilateral_and_builds_no_triangulation(monkeypatch):
     p = random_chart_point(random_triangulation(10, 4), 3, 9)
     target = random_triangulation(10, 5)
-    flips = len(mutation.flip_path(p.triangulation, target))
+    flips = len(flip_path(p.triangulation, target))
     calls = []
-    real = Triangulation.quadrilateral
+    real_quadrilateral, real_flip = Triangulation.quadrilateral, Triangulation._flip
     monkeypatch.setattr(Triangulation, "quadrilateral",
-                        lambda t, d: calls.append(d) or real(t, d))
+                        lambda t, d: calls.append(d) or real_quadrilateral(t, d))
+    monkeypatch.setattr(Triangulation, "_flip",
+                        lambda t, *quad: calls.append(quad) or real_flip(t, *quad))
     transport(p, target)
-    # the path is read off the faces, so only the transport finds each one
-    assert flips and len(calls) == flips
+    # the path hands over each quadrilateral, and the flips run on one dict
+    assert flips and calls == []
+
+
+def _transport_reference(p, target):
+    """The transport that one dict replaced, kept as an oracle: a fold of
+    flip_transport, one chart point per flip, over flip_path."""
+    for d in flip_path(p.triangulation, target):
+        p = flip_transport(p, d)
+    return p
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(4, 12).flatmap(lambda n: st.one_of(
+           st.tuples(triangulations(n), triangulations(n)), sharing_pairs(n))),
+       st.integers(2, 5), st.integers(0, 10 ** 6))
+def test_transport_matches_the_fold_of_flip_transports(pair, m, seed):
+    """Running every flip on one dict gives the fold's chart point, lands on
+    the target itself, and leaves the input's values alone."""
+    t1, t2 = pair
+    p = random_chart_point(t1, m, seed)
+    before = dict(p.values)
+    q = transport(p, t2)
+    assert q == _transport_reference(p, t2)
+    assert q.triangulation is t2 and q.triangulation == t2
+    assert p.values == before and q.values is not p.values
+    assert transport(p, t1) == p
 
 
 @settings(deadline=None, max_examples=50)
