@@ -34,9 +34,9 @@ import random
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import (Triangulation, ChartPoint, chords_cross, cyclic_interval, index_at,
-                      PolygonError)
-from .mutation import flip_transport, transport, _run_program
+from .polygon import (Triangulation, ChartPoint, cyclic_interval, index_at, PolygonError,
+                      _beyond)
+from .mutation import transport, _flip_values, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
 
@@ -146,14 +146,25 @@ def _act_on_chart(p, g):
     n, m = p.triangulation.n, p.m
     iv = g.interval(n)
     a, q = iv[0], iv[-1]
-    # insert the chord: flip the side opposite a of the face at a that the
-    # chord crosses; the new side ends at a and crosses nothing, so there is
-    # one flip per diagonal crossing the chord (Hanke, Ottmann and Schuierer)
-    for _ in range(sum(chords_cross(d, (a, q), n) for d in p.triangulation.diagonals)):
-        sides = (tuple(v for v in f if v != a) for f in p.triangulation.triangles() if a in f)
-        p = flip_transport(p, next(d for d in sides if chords_cross(d, (a, q), n)))
     t, values = p.triangulation, p.values
     order = {v: s for s, v in enumerate(iv)}
+    # insert the chord, one flip per diagonal crossing it (Hanke, Ottmann and
+    # Schuierer): flip the crossed side (u, v) opposite a, u inside, to {a, w}
+    # for the face (u, w, v) beyond; then whichever of (u, w), (w, v) it
+    # crosses, whose face beyond is still the input's
+    beyond = _beyond(t)
+    u = iv[1]
+    while u != q and beyond[a, u] in order:
+        u = beyond[a, u]
+    if u != q:
+        values, diagonals, v = dict(values), set(t.diagonals), beyond[a, u]
+        while u != q:
+            w = beyond[v, u]
+            _flip_values(values, n, m, *((u, w, v, a) if u < v else (v, a, u, w)))
+            diagonals.remove((u, v) if u < v else (v, u))
+            diagonals.add((a, w) if a < w else (w, a))
+            u, v = (w, v) if w in order else (u, w)
+        t = Triangulation._of_chords(n, diagonals)
     outside = [v - 1 for v in range(1, n + 1) if v not in order]
     mirror = [g.mirror(v, n) - 1 for v in range(1, n + 1)]
     out = {}

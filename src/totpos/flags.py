@@ -109,6 +109,15 @@ class DecoratedFlag:
         if require_unimodular and d != 1:
             raise FlagError("flag representative has det %s != 1" % scalar_str(d))
 
+    @classmethod
+    def _of(cls, rows, ints, scales):
+        """Wrap the Fraction rows of a det-1 representative and their integer
+        clearing (int rows, prefix scales) as is, without checking."""
+        f = object.__new__(cls)
+        f.m, f.rep, f._det = len(rows), Mat._of(tuple(map(tuple, rows))), Fraction(1)
+        f._ints, f._scales = tuple(ints), scales
+        return f
+
     def __eq__(self, other):
         """Equality of decorated flags, i.e. of coset normal forms."""
         return (isinstance(other, DecoratedFlag)

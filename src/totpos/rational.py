@@ -272,17 +272,6 @@ def inverse_transpose(a):
     return inverse(a).transpose()
 
 
-def cofactor_vector(rows, pos):
-    """The vector c with det(rows[:pos] + [x] + rows[pos:]) = x . c for all x.
-
-    ``rows`` holds m - 1 >= 1 rows of length m.
-    """
-    int_rows, scales = _integer_clearing(rows)
-    # moving the probe row from the end to position pos takes m-1-pos swaps
-    sign = (-1) ** (len(rows) - pos)
-    return tuple(Fraction(sign * v, scales[-1]) for v in _cofactor_ints(int_rows))
-
-
 def _cofactor_ints(int_rows):
     """The integer vector c with det(int_rows + [x]) = x . c for all x.
 

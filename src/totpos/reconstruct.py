@@ -6,14 +6,14 @@ values on the fan at vertex 1, transporting a point on any other
 triangulation there first.  The first two flags are pinned explicitly
 (standard flag and a scaled antidiagonal flag matched to the {1, 2} edge
 values), and flag v = 3..n is solved row by row from the chart values of
-the fan triangle (1, v-1, v).  Each row solve is one integer system, and
-the row's Fractions are formed once, from its solution.
+the fan triangle (1, v-1, v).  Each row is one integer system on cofactor
+vectors read off one elimination; each flag has det 1 and is wrapped as is.
 """
 
 import random
 from fractions import Fraction
 
-from .rational import (Mat, scalar_str, _clear_row, _integer_clearing,
+from .rational import (scalar_str, _bareiss, _clear_row, _integer_clearing,
                        _cofactor_ints, _solve_cleared)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
@@ -57,7 +57,7 @@ def charts_to_flags(p):
 
     # vertex 1: the standard flag
     standard = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
-    first = _integer_clearing(standard)
+    flags = [DecoratedFlag._of(standard, *_integer_clearing(standard))]
 
     # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
     rows = []
@@ -68,18 +68,16 @@ def charts_to_flags(p):
         prod = target
         rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
     known = _integer_clearing(rows)
-
-    flags = [standard, rows + [_completion(known)]]
+    flags.append(_completed(rows, known))
     for v in range(3, n + 1):
-        rows, known = _solve_flag(values, n, v, first, known, m)
-        flags.append(rows + [_completion(known)])
-    return Configuration([DecoratedFlag(Mat._of(tuple(map(tuple, f))))
-                          for f in flags])
+        rows, known = _solve_flag(values, n, v, known, m)
+        flags.append(_completed(rows, known))
+    return Configuration(flags)
 
 
-def _completion(known):
-    """The final row making det exactly 1, canonically, for the m - 1 rows
-    whose integer clearing is ``known``.
+def _completed(rows, known):
+    """The flag of the m - 1 ``rows`` of integer clearing ``known``, completed
+    by the row that makes its det exactly 1, canonically: wrapped unchecked.
 
     With C the integer cofactor vector of the cleared rows and s their
     scale, c = C / s satisfies det(rows + [x]) = x . c, and the completion
@@ -88,33 +86,33 @@ def _completion(known):
     ints, scales = known
     cof = _cofactor_ints(ints)
     norm = sum(x * x for x in cof)
-    return [Fraction(x * scales[-1], norm) for x in cof]
+    last = [Fraction(x * scales[-1], norm) for x in cof]
+    r, s = _clear_row(last)
+    return DecoratedFlag._of(rows + [last], ints + [r], scales + [scales[-1] * s])
 
 
-def _solve_flag(values, n, v, first, prev, m):
+def _solve_flag(values, n, v, prev, m):
     """The first m - 1 rows of flag v, and their integer clearing, from the
     fan chart ``values`` on the triangle (1, v-1, v).
 
-    ``first`` and ``prev`` are the integer clearings (int rows, prefix
-    scales) of flags 1 and v - 1.  The chart values with weight k at v give
-    m - k + 1 linear conditions on row k; Euclidean orthogonality to the
-    earlier rows of flag v supplies the remaining k - 1 and fixes the coset
-    representative.
+    ``prev`` is the integer clearing (int rows, prefix scales) of flag
+    v - 1; flag 1 is standard, with scales 1.  The chart values with weight
+    k at v give m - k + 1 linear conditions on row k, all read off one
+    ``_nested_cofactors``; Euclidean orthogonality to the earlier rows of
+    flag v supplies the remaining k - 1 and fixes the coset representative.
     """
     rows, ints, scales = [], [], [1]
     for k in range(1, m):
         system = []
-        for i in range(m - k + 1):
+        for i, cof in enumerate(_nested_cofactors(ints, prev[0], m)):
             j = m - k - i
             # stacked in ascending vertex order, the unknown row x is last,
             # and the determinant is x . C / scale for the integer cofactor
             # vector C; equal to the chart value a / b, it gives
             # x . (b C) = a scale
-            cof = _cofactor_ints(first[0][:i] + prev[0][:j] + ints)
-            scale = first[1][i] * prev[1][j] * scales[-1]
             value = values[index_at(n, (1, v - 1, v), (i, j, k))]
             system.append([value.denominator * c for c in cof]
-                          + [value.numerator * scale])
+                          + [value.numerator * prev[1][j] * scales[-1]])
         system.extend(r + [0] for r in ints)
         y, d = _solve_cleared(system, m)
         row = [Fraction(yi[0], d) for yi in y]
@@ -123,6 +121,29 @@ def _solve_flag(values, n, v, first, prev, m):
         ints.append(r)
         scales.append(scales[-1] * s)
     return rows, (ints, scales)
+
+
+def _nested_cofactors(ints, prev, m):
+    """Yield ``_cofactor_ints(e_1..e_i + prev[:m-k-i] + ints)`` for i = 0..m-k,
+    from the k - 1 int rows ``ints`` of flag v and those of flag v - 1.
+
+    Past e_1..e_i, the determinant is a minor on the trailing q = m - i
+    columns of A's first q - 1 rows, A = ints + prev[:m-k], and the probe:
+    Bareiss on [A's columns, last first | I] leaves these in its row
+    q - 1, reversed, and the row and column order gives the sign.  Pivots
+    are chart values of the triangle (1, v-1, v) or its edges at 1, times
+    row scales, so no row is swapped.  ``_bareiss`` is reused, not copied,
+    to keep one loop whose divisions are exact.
+    """
+    k = len(ints) + 1
+    a = ints + prev[:m - k]
+    aug = [[row[m - 1 - r] for row in a] + [int(r == t) for t in range(m)]
+           for r in range(m)]
+    _bareiss(aug, m - 1)
+    for i in range(m - k + 1):
+        q = m - i
+        sign = (-1) ** ((k - 1) * (m - k - i) + q * (q - 1) // 2)
+        yield [0] * i + [sign * aug[q - 1][2 * m - 2 - c] for c in range(i, m)]
 
 
 def random_positive(n, m, seed, bound=20):

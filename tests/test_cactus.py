@@ -304,14 +304,14 @@ def test_chord_insertion_flips_each_crossing_diagonal_once(monkeypatch, n, diago
     """A chart point takes one flip per input diagonal crossing {p, q}."""
     t = Triangulation(n, diagonals)
     calls = []
-    real = mutation.flip_transport
+    real = mutation._flip_values
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[3:])
         return real(*args)
 
-    monkeypatch.setattr(mutation, "flip_transport", counted)
-    monkeypatch.setattr(cactus_module, "flip_transport", counted, raising=False)
+    monkeypatch.setattr(mutation, "_flip_values", counted)
+    monkeypatch.setattr(cactus_module, "_flip_values", counted, raising=False)
     for m in (2, 3):
         calls.clear()
         point = random_chart_point(t, m, 17 * m)

@@ -176,6 +176,19 @@ def test_zero_denominator_in_flag_exits_two(capsys, args):
     _exits_two(capsys, args, _with_zero_denominator(cfg, "flags"))
 
 
+def test_non_unimodular_flag_exits_two(capsys):
+    # the rebuilt flags are wrapped unchecked, but a flag read from input
+    # still has its det checked
+    from fractions import Fraction
+    from totpos.flags import Configuration, FlagError
+    _, cfg = run_cli(["gen", "5", "3", "--seed", "1"])
+    data = json.loads(cfg)
+    data["flags"][2][-1] = [str(2 * Fraction(x)) for x in data["flags"][2][-1]]
+    with pytest.raises(FlagError, match="det 2 != 1"):
+        Configuration.from_json(data)
+    _exits_two(capsys, ["act", "-", "--word", "[[1,3]]"], json.dumps(data))
+
+
 def test_parser_is_built_once_and_reused():
     assert cli._parser() is cli._parser()
     first = run_cli(["--help"])

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos.rational import (Mat, det, solve, inverse, inverse_transpose,
-                             cofactor_vector, scalar, scalar_str,
-                             SingularMatrixError)
+                             scalar, scalar_str, SingularMatrixError,
+                             _integer_clearing, _cofactor_ints)
 
 from conftest import det_oracle
 
@@ -20,6 +20,15 @@ def square(n):
 
 def unit(n, j):
     return [Fraction(int(i == j)) for i in range(n)]
+
+
+def cofactor_vector(rows, pos):
+    """The vector c with det(rows[:pos] + [x] + rows[pos:]) = x . c for all x,
+    from ``_cofactor_ints``; ``rows`` holds m - 1 >= 1 rows of length m."""
+    int_rows, scales = _integer_clearing(rows)
+    # moving the probe row from the end to position pos takes m-1-pos swaps
+    sign = (-1) ** (len(rows) - pos)
+    return tuple(Fraction(sign * v, scales[-1]) for v in _cofactor_ints(int_rows))
 
 
 def inverse_by_columns(a):

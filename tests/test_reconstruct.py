@@ -1,15 +1,110 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totpos.rational import Mat
-from totpos.flags import DecoratedFlag
-from totpos.polygon import Triangulation, ChartPoint, chart_indices
+import totpos.reconstruct as reconstruct
+from totpos.rational import (Mat, _clear_row, _cofactor_ints, _integer_clearing,
+                             _solve_cleared)
+from totpos.flags import DecoratedFlag, Configuration
+from totpos.polygon import Triangulation, ChartPoint, chart_indices, index_at
 from totpos.mutation import transport
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point,
-                                ChartValueError)
+                                ChartValueError, _nested_cofactors)
 
 from conftest import random_triangulation, triangulations
+
+
+def _charts_to_flags_reference(p):
+    """The rebuild that reads each cofactor vector off its own elimination
+    and checks every flag's det, kept as an oracle."""
+    n, m = p.triangulation.n, p.m
+    values = transport(p, Triangulation.fan(n)).values
+    standard = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
+    first = _integer_clearing(standard)
+    rows = []
+    prod = Fraction(1)
+    for j in range(1, m):
+        target = (-1) ** (j * (j - 1) // 2) * values[index_at(n, (1, 2), (m - j, j))]
+        lam = target / prod
+        prod = target
+        rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
+    known = _integer_clearing(rows)
+    flags = [standard, rows + [_completion_reference(known)]]
+    for v in range(3, n + 1):
+        rows, known = _solve_flag_reference(values, n, v, first, known, m)
+        flags.append(rows + [_completion_reference(known)])
+    return Configuration([DecoratedFlag(Mat._of(tuple(map(tuple, f))))
+                          for f in flags])
+
+
+def _completion_reference(known):
+    ints, scales = known
+    cof = _cofactor_ints(ints)
+    norm = sum(x * x for x in cof)
+    return [Fraction(x * scales[-1], norm) for x in cof]
+
+
+def _solve_flag_reference(values, n, v, first, prev, m):
+    rows, ints, scales = [], [], [1]
+    for k in range(1, m):
+        system = []
+        for i in range(m - k + 1):
+            j = m - k - i
+            cof = _cofactor_ints(first[0][:i] + prev[0][:j] + ints)
+            scale = first[1][i] * prev[1][j] * scales[-1]
+            value = values[index_at(n, (1, v - 1, v), (i, j, k))]
+            system.append([value.denominator * c for c in cof]
+                          + [value.numerator * scale])
+        system.extend(r + [0] for r in ints)
+        y, d = _solve_cleared(system, m)
+        row = [Fraction(yi[0], d) for yi in y]
+        r, s = _clear_row(row)
+        rows.append(row)
+        ints.append(r)
+        scales.append(scales[-1] * s)
+    return rows, (ints, scales)
+
+
+def _fields(f):
+    return f.m, f.rep, f._ints, f._scales, f._det
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(3, 9).flatmap(triangulations), st.integers(2, 5),
+       st.integers(0, 2 ** 32), st.sampled_from([20, 80]))
+def test_charts_to_flags_matches_the_reference(t, m, seed, bound):
+    p = random_chart_point(t, m, seed, bound)
+    got, want = charts_to_flags(p), _charts_to_flags_reference(p)
+    assert [_fields(f) for f in got.flags] == [_fields(f) for f in want.flags]
+
+
+def test_nested_cofactors_match_one_elimination_each(monkeypatch):
+    # every vector equals its own elimination's, sign included, and the
+    # nested elimination swaps no row
+    signs = []
+    real = reconstruct._bareiss
+    monkeypatch.setattr(reconstruct, "_bareiss", lambda *a: signs.append(real(*a)) or 1)
+    for (n, m, seed) in [(3, 2, 1), (5, 3, 2), (6, 4, 3), (5, 5, 4), (4, 5, 5)]:
+        flags = random_positive(n, m, seed).flags
+        first = flags[0]._ints
+        for v in range(3, n + 1):
+            prev, ints = list(flags[v - 2]._ints[:m - 1]), list(flags[v - 1]._ints)
+            for k in range(1, m):
+                cofs = list(_nested_cofactors(ints[:k - 1], prev, m))
+                assert len(cofs) == m - k + 1
+                for i, cof in enumerate(cofs):
+                    assert cof == _cofactor_ints(list(first[:i]) + prev[:m - k - i]
+                                                 + ints[:k - 1])
+    assert signs and set(signs) == {1}
+
+
+def test_rebuilt_flags_equal_checked_flags():
+    for (n, m) in [(3, 2), (5, 3), (6, 4), (5, 5)]:
+        for f in random_positive(n, m, 61 * n + m).flags:
+            assert _fields(f) == _fields(DecoratedFlag(f.rep))
+            assert f._det == 1
 
 
 def test_charts_to_flags_to_charts_is_value_identity():
