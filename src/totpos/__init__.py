@@ -6,7 +6,7 @@ from .rational import Mat, det, solve, inverse_transpose, SingularMatrixError
 from .flags import (DecoratedFlag, Configuration, admissible_indices,
                     sign_normalize, rotate, face, iota, theta)
 from .polygon import Triangulation, ChartPoint, chart_indices, chart_dimension, glue_check
-from .mutation import exchange, flip_transport, transport
+from .mutation import flip_transport, transport
 from .reconstruct import flags_to_charts, charts_to_flags, random_positive
 from .cactus import IntervalGen, act_generator, act_word, underlying_permutation, verify_relations
 from .axioms import check_axiom, check_glue
@@ -16,7 +16,7 @@ __all__ = [
     "DecoratedFlag", "Configuration", "admissible_indices",
     "sign_normalize", "rotate", "face", "iota", "theta",
     "Triangulation", "ChartPoint", "chart_indices", "chart_dimension", "glue_check",
-    "exchange", "flip_transport", "transport",
+    "flip_transport", "transport",
     "flags_to_charts", "charts_to_flags", "random_positive",
     "IntervalGen", "act_generator", "act_word", "underlying_permutation",
     "verify_relations", "check_axiom", "check_glue",

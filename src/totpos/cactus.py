@@ -8,7 +8,8 @@ restriction to the complementary interval is kept.  The action runs on
 chart values alone, with no flag and no determinant, on the chart's own
 triangulation T:
 
-1. insert the chord {p, q} if T lacks it, one flip per crossing diagonal;
+1. insert the chord {p, q} if T lacks it, one ``mutation._flip`` per
+   crossing diagonal, on one copy of the values and one diagonal set;
 2. fill the chart on T's diagonals with an end outside the interval and the
    mirror images of T's diagonals inside, in three parts:
    - values supported outside the interval carry over as they are;
@@ -36,7 +37,7 @@ from functools import lru_cache
 from .flags import admissible_indices
 from .polygon import (Triangulation, ChartPoint, cyclic_interval, index_at, PolygonError,
                       _beyond)
-from .mutation import transport, _flip_values, _run_program
+from .mutation import transport, _flip, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
 
@@ -150,8 +151,9 @@ def _act_on_chart(p, g):
     order = {v: s for s, v in enumerate(iv)}
     # insert the chord, one flip per diagonal crossing it (Hanke, Ottmann and
     # Schuierer): flip the crossed side (u, v) opposite a, u inside, to {a, w}
-    # for the face (u, w, v) beyond; then whichever of (u, w), (w, v) it
-    # crosses, whose face beyond is still the input's
+    # for the face (u, w, v) beyond, the counterclockwise quadrilateral
+    # (u, w, v, a); then whichever of (u, w), (w, v) it crosses, whose face
+    # beyond is still the input's
     beyond = _beyond(t)
     u = iv[1]
     while u != q and beyond[a, u] in order:
@@ -160,9 +162,7 @@ def _act_on_chart(p, g):
         values, diagonals, v = dict(values), set(t.diagonals), beyond[a, u]
         while u != q:
             w = beyond[v, u]
-            _flip_values(values, n, m, *((u, w, v, a) if u < v else (v, a, u, w)))
-            diagonals.remove((u, v) if u < v else (v, u))
-            diagonals.add((a, w) if a < w else (w, a))
+            _flip(values, diagonals, n, m, u, w, v, a)
             u, v = (w, v) if w in order else (u, w)
         t = Triangulation._of_chords(n, diagonals)
     outside = [v - 1 for v in range(1, n + 1) if v not in order]

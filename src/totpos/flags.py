@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .rational import Mat, scalar, scalar_str, _integer_clearing, _det_cleared
+from .rational import (Mat, scalar, scalar_str, inverse_transpose, _integer_clearing,
+                       _det_cleared)
 
 
 class FlagError(ValueError):
@@ -129,10 +130,6 @@ class DecoratedFlag:
     def __repr__(self):
         return "DecoratedFlag(%r)" % (self.rep,)
 
-    def rows(self, k):
-        """The first k rows of the representative."""
-        return self.rep.entries[:k]
-
     def canonicalize(self):
         """The unique coset representative.
 
@@ -169,7 +166,7 @@ class DecoratedFlag:
         are the orthocomplements of the input's suffix spans under the
         bilinear form x J y^T; applying the map twice returns the same coset.
         """
-        rows = self.rep.inverse_transpose().entries
+        rows = inverse_transpose(self.rep).entries
         out = Mat._of(tuple(row[::-1] for row in reversed(rows)))
         return DecoratedFlag(out, require_unimodular=False).unimodularize()
 
@@ -240,9 +237,6 @@ class Configuration:
 
     def is_positive(self):
         return self.first_nonpositive() is None
-
-    def is_regular(self):
-        return all(v != 0 for v in self.all_deltas().values())
 
     def same_point(self, other):
         """Equality as configurations: every coordinate agrees exactly.

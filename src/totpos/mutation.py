@@ -1,31 +1,26 @@
-"""The exchange relation, exchange programs, and chart transport along flips.
+"""Exchange programs, the flip step, and chart transport along flips.
 
 An exchange program is a tuple of steps (t, out, inc, d) on a list of values
 x, each setting x[t] = (prod x[out] + prod x[inc]) / x[d] as one Fraction.
 ``_run_program`` runs the flip's program here and the triangle reversal of
-``cactus``.  A flip replaces diagonal {a, c} of a quadrilateral (a, b, c, e)
-by {b, e}, in the C(m+1, 3) steps of Fock and Goncharov's rank-m flip; all
-are subtraction free, so positivity propagates for free.  ``transport`` runs
-each flip's program in place on one dict, along the quadrilaterals that
-``flip_path`` reads off the faces.
+``cactus``.  ``_flip`` is every flip in the library: it replaces diagonal
+{a, c} of a counterclockwise quadrilateral (a, b, c, e) by {b, e}, in place
+on a dict of chart values and on a set of diagonals, in the C(m+1, 3) steps
+of Fock and Goncharov's rank-m flip; all are subtraction free, so positivity
+propagates for free.  ``flip_transport`` takes one step, ``transport`` one
+per quadrilateral that ``flip_path`` reads off the faces, and ``cactus``
+one per diagonal that crosses the chord it puts in.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import ChartPoint, _flip_quadrilaterals
+from .polygon import Triangulation, ChartPoint, _flip_quadrilaterals
 
 
 class MutationError(ValueError):
     pass
-
-
-def exchange(ab, cd, bc, ad, ac):
-    """One exchange step: (ab * cd + bc * ad) / ac."""
-    if ac == 0:
-        raise MutationError("zero denominator in exchange relation")
-    return (ab * cd + bc * ad) / ac
 
 
 def _run_program(x, steps):
@@ -57,10 +52,14 @@ def _flip_program(m):
     return pts, steps
 
 
-def _flip_values(values, n, m, a, b, c, e):
-    """Flip {a, c} of quadrilateral (a, b, c, e) in place on chart values of
-    the n-gon: only the {a, c} edge and the interiors of faces (a, b, c) and
-    (a, c, e) give way, to the {b, e} edge and those of (a, b, e), (b, c, e)."""
+def _flip(values, diagonals, n, m, a, b, c, e):
+    """Flip {a, c} of the counterclockwise quadrilateral (a, b, c, e), given
+    in any rotation, in place on chart values of the n-gon and on the set of
+    its ascending diagonal pairs: only the {a, c} edge and the interiors of
+    faces (a, b, c) and (a, c, e) give way, to the {b, e} edge and those of
+    (a, b, e), (b, c, e)."""
+    if a > c:  # one rotation per flip, so the new keys go in in one order
+        a, b, c, e = c, e, a, b
     pts, steps = _flip_program(m)
     # one list, rewritten for each weight, as in ``chart_indices``
     idx = [0] * n
@@ -73,24 +72,24 @@ def _flip_values(values, n, m, a, b, c, e):
             values.pop(key, None)  # the old chart's, or none when j, l > 0 too
         elif j and l:
             values[key] = value
+    diagonals.remove((a, c))
+    diagonals.add((b, e) if b < e else (e, b))
 
 
 def flip_transport(p, d):
     """Chart point of the triangulation flipped at d, for the same point."""
     t = p.triangulation
-    quad, values = t.quadrilateral(d), dict(p.values)
-    _flip_values(values, t.n, p.m, *quad)
-    return ChartPoint._of(t._flip(*quad), p.m, values)
+    values, diagonals = dict(p.values), set(t.diagonals)
+    _flip(values, diagonals, t.n, p.m, *t.quadrilateral(d))
+    return ChartPoint._of(Triangulation._of_chords(t.n, diagonals), p.m, values)
 
 
 def transport(p, target):
     """Chart point of the target triangulation for the same point; the harness
     checks, rather than assumes, that it does not depend on the path."""
     values, diagonals = dict(p.values), set(p.triangulation.diagonals)
-    for a, b, c, e in _flip_quadrilaterals(p.triangulation, target):
-        _flip_values(values, target.n, p.m, a, b, c, e)
-        diagonals.remove((a, c))
-        diagonals.add((b, e) if b < e else (e, b))
+    for quad in _flip_quadrilaterals(p.triangulation, target):
+        _flip(values, diagonals, target.n, p.m, *quad)
     if diagonals != target.diagonals:
         raise MutationError("flip path ended at %s, not at %r" % (sorted(diagonals), target))
     return ChartPoint._of(target, p.m, values)

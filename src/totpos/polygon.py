@@ -142,21 +142,8 @@ class Triangulation:
 
     def flip(self, d):
         """Replace diagonal d by the opposite diagonal of its quadrilateral."""
-        return self._flip(*self.quadrilateral(d))
-
-    def _flip(self, a, b, c, e):
-        """The flip of diagonal {a, c} of quadrilateral (a, b, c, e).
-
-        Only the quadrilateral changes: faces (a, b, c) and (a, c, e) on the
-        old diagonal give way to (a, b, e) and (b, c, e), and the face list
-        stays ascending.
-        """
-        gone = {tuple(sorted(f)) for f in ((a, b, c), (a, c, e))}
-        faces = [f for f in self._faces if f not in gone]
-        faces += [tuple(sorted(f)) for f in ((a, b, e), (b, c, e))]
-        faces.sort()
-        diagonals = (self.diagonals - {(min(a, c), max(a, c))}) | {(min(b, e), max(b, e))}
-        return Triangulation._of(self.n, diagonals, faces)
+        a, b, c, e = self.quadrilateral(d)
+        return Triangulation._of_chords(self.n, self.diagonals - {(a, c)} | {(b, e)})
 
     def to_json(self):
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
@@ -202,8 +189,9 @@ def _fan_flips(beyond, own, piece, apex):
 
 def _flip_quadrilaterals(t1, t2):
     """The flips of a path from t1 to t2 that never flips a diagonal of both
-    (Sleator, Tarjan and Thurston), as the quadrilaterals (a, b, c, e) of
-    ``Triangulation.quadrilateral``: counterclockwise, flipping {a, c}, a < c.
+    (Sleator, Tarjan and Thurston), as counterclockwise quadrilaterals
+    (a, b, c, e) flipping {a, c}, in the rotation the faces give: a > c may
+    hold, and ``mutation._flip`` takes any rotation.
 
     The shared diagonals cut the polygon into pieces; flips in different
     pieces commute.  Each piece goes through the fan at its vertex with the
@@ -234,12 +222,13 @@ def _flip_quadrilaterals(t1, t2):
         path += [(u, w, v, a) for a, u, w, v in _fan_flips(beyond1, own1, s, apex)]
         # t2's created diagonals {apex, w}, flipped in reverse order, lead back to t2
         path += reversed(_fan_flips(beyond2, own2, s, apex))
-    return [(a, b, c, e) if a < c else (c, e, a, b) for a, b, c, e in path]
+    return path
 
 
 def flip_path(t1, t2):
-    """The flipped diagonals of ``_flip_quadrilaterals``, from t1 to t2."""
-    return [(a, c) for a, _, c, _ in _flip_quadrilaterals(t1, t2)]
+    """The flipped diagonals of ``_flip_quadrilaterals``, from t1 to t2, as
+    ascending pairs."""
+    return [(a, c) if a < c else (c, a) for a, _, c, _ in _flip_quadrilaterals(t1, t2)]
 
 
 def index_at(n, vertices, weights):

@@ -6,9 +6,9 @@ form, with the sign carried on the numerator.  They serialize as the string
 
 Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
 constructor coerces every entry through ``scalar`` (so it rejects floats);
-paths that already hold Fractions (transpose, products, row operations,
-inverses, stacked coordinate rows, canonical forms) wrap them as they are
-with the internal ``Mat._of``.
+paths that already hold Fractions (transpose, row scaling, inverses,
+stacked coordinate rows, canonical forms) wrap them as they are with the
+internal ``Mat._of``.
 
 Determinants, solves, inverses and cofactor vectors run on Python ints.
 Each row is cleared to integers once, as numerator * (lcm // denominator)
@@ -93,10 +93,6 @@ class Mat:
         m.cols = len(entries[0])
         return m
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -117,32 +113,11 @@ class Mat:
     def transpose(self):
         return Mat._of(tuple(zip(*self.entries)))
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch: %dx%d * %dx%d"
-                                 % (self.rows, self.cols, other.rows, other.cols))
-            bt = other.transpose().entries
-            return Mat._of(tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries))
-        return NotImplemented
-
     def scale_row(self, i, factor):
         factor = scalar(factor)
         rows = list(self.entries)
         rows[i] = tuple(factor * x for x in rows[i])
         return Mat._of(tuple(rows))
-
-    def add_multiple_of_row(self, dst, src, factor):
-        """Row operation dst += factor * src (returns a new Mat)."""
-        factor = scalar(factor)
-        rows = list(self.entries)
-        rows[dst] = tuple(a + factor * b for a, b in zip(rows[dst], rows[src]))
-        return Mat._of(tuple(rows))
-
-    def inverse_transpose(self):
-        return inverse_transpose(self)
 
 
 def _clear_row(row):

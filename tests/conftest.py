@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import totpos
-from totpos.rational import Mat
+from totpos.rational import Mat, scalar
 from totpos.flags import DecoratedFlag, Configuration
 from totpos.polygon import Triangulation
 
@@ -24,6 +24,26 @@ def det_oracle(m):
                      for row in m.entries[1:]])
         total += (-1) ** j * m.entries[0][j] * det_oracle(minor)
     return total
+
+
+def identity(n):
+    return Mat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def mat_mul(a, b):
+    """The matrix product a b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch: %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    return Mat([[sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)]
+                for row in a.entries])
+
+
+def add_multiple_of_row(m, dst, src, factor):
+    """The row operation dst += factor * src, as a new Mat."""
+    factor = scalar(factor)
+    rows = list(m.entries)
+    rows[dst] = [a + factor * b for a, b in zip(rows[dst], rows[src])]
+    return Mat(rows)
 
 
 @pytest.fixture

@@ -304,14 +304,14 @@ def test_chord_insertion_flips_each_crossing_diagonal_once(monkeypatch, n, diago
     """A chart point takes one flip per input diagonal crossing {p, q}."""
     t = Triangulation(n, diagonals)
     calls = []
-    real = mutation._flip_values
+    real = mutation._flip
 
     def counted(*args):
-        calls.append(args[3:])
+        calls.append(args[4:])
         return real(*args)
 
-    monkeypatch.setattr(mutation, "_flip_values", counted)
-    monkeypatch.setattr(cactus_module, "_flip_values", counted, raising=False)
+    monkeypatch.setattr(mutation, "_flip", counted)
+    monkeypatch.setattr(cactus_module, "_flip", counted, raising=False)
     for m in (2, 3):
         calls.clear()
         point = random_chart_point(t, m, 17 * m)

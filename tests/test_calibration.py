@@ -16,8 +16,10 @@ the first passer in a fixed candidate order.
 from itertools import product
 
 from totpos.flags import Configuration, DecoratedFlag, sign_normalize, FlagError
-from totpos.rational import Mat
+from totpos.rational import Mat, inverse_transpose
 from totpos.reconstruct import random_positive
+
+from conftest import mat_mul
 
 CALIBRATION_SEED = 20260825
 TRIALS = 8
@@ -35,9 +37,9 @@ def closed_form_convention(m):
 def perp_with(flag, eps, q):
     """Signed row reversal of the inverse transpose, times a fixed symmetric Q."""
     m = flag.m
-    c = flag.rep.inverse_transpose()
+    c = inverse_transpose(flag.rep)
     rows = [[eps[i] * x for x in c.entries[m - 1 - i]] for i in range(m)]
-    out = Mat(rows) * Mat(q)
+    out = mat_mul(Mat(rows), Mat(q))
     return DecoratedFlag(out, require_unimodular=False).unimodularize()
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from totpos import mutation
 from totpos.polygon import Triangulation, ChartPoint, chart_indices, flip_path
-from totpos.mutation import (exchange, flip_transport, transport, MutationError,
+from totpos.mutation import (flip_transport, transport, MutationError, _flip,
                              _flip_program, _run_program)
 from totpos.cactus import _reversal_program
 from totpos.flags import admissible_indices
@@ -16,6 +16,14 @@ from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point)
 
 from conftest import random_triangulation, sharing_pairs, triangulations
+
+
+def exchange(ab, cd, bc, ad, ac):
+    """One exchange step, (ab * cd + bc * ad) / ac, on Fraction operators:
+    the relation that each step of the flip's program takes in one gcd."""
+    if ac == 0:
+        raise MutationError("zero denominator in exchange relation")
+    return (ab * cd + bc * ad) / ac
 
 
 def _flip_transport_reference(p, d):
@@ -260,11 +268,11 @@ def test_transport_finds_no_quadrilateral_and_builds_no_triangulation(monkeypatc
     target = random_triangulation(10, 5)
     flips = len(flip_path(p.triangulation, target))
     calls = []
-    real_quadrilateral, real_flip = Triangulation.quadrilateral, Triangulation._flip
+    real_quadrilateral, real_of_chords = Triangulation.quadrilateral, Triangulation._of_chords
     monkeypatch.setattr(Triangulation, "quadrilateral",
                         lambda t, d: calls.append(d) or real_quadrilateral(t, d))
-    monkeypatch.setattr(Triangulation, "_flip",
-                        lambda t, *quad: calls.append(quad) or real_flip(t, *quad))
+    monkeypatch.setattr(Triangulation, "_of_chords", classmethod(
+        lambda cls, n, chords: calls.append(chords) or real_of_chords(n, chords)))
     transport(p, target)
     # the path hands over each quadrilateral, and the flips run on one dict
     assert flips and calls == []
@@ -307,6 +315,27 @@ def test_flip_program_matches_the_recursive_flip(n, m, data):
         assert q.values == _flip_transport_reference(p, d).values
         assert q.triangulation == t.flip(d)
     assert len(_flip_program(m)[1]) == comb(m + 1, 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(4, 12), st.integers(2, 5), st.data())
+def test_flip_takes_either_rotation_and_rebuilds_the_faces(n, m, data):
+    """Every diagonal {a, c} of a drawn triangulation: the step on (a, b, c, e)
+    and on (c, e, a, b) gives the same values in the same key order and the
+    same diagonals, whose faces the checked constructor also gives."""
+    t = data.draw(triangulations(n))
+    p = random_chart_point(t, m, data.draw(st.integers(0, 10 ** 6)))
+    for d in sorted(t.diagonals):
+        a, b, c, e = t.quadrilateral(d)
+        flipped = []
+        for quad in ((a, b, c, e), (c, e, a, b)):
+            values, diagonals = dict(p.values), set(t.diagonals)
+            _flip(values, diagonals, n, m, *quad)
+            flipped.append((list(values.items()), diagonals))
+        assert flipped[0] == flipped[1]
+        faces = Triangulation(n, flipped[0][1]).triangles()
+        assert flip_transport(p, d).triangulation.triangles() == faces
+        assert t.flip(d).triangles() == faces
 
 
 def _run_program_reference(x, steps):

@@ -13,7 +13,7 @@ from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point,
                                 ChartValueError, _nested_cofactors)
 
-from conftest import random_triangulation, triangulations
+from conftest import identity, random_triangulation, triangulations
 
 
 def _charts_to_flags_reference(p):
@@ -127,7 +127,7 @@ def test_flags_to_charts_to_flags_is_point_identity():
 def test_reconstruction_gauge_pins_first_flag():
     p = random_chart_point(Triangulation.fan(5), 3, 51)
     c = charts_to_flags(p)
-    assert c.flags[0].rep == Mat.identity(3)
+    assert c.flags[0].rep == identity(3)
 
 
 def test_reconstruction_depends_only_on_the_point():
