@@ -18,14 +18,19 @@ coordinates.
 The reversal map (reverse, with its edge and triangle cases iota and theta)
 is built from the orthogonal flag J F^{-T} J of a representative F, where J
 is the antidiagonal matrix of ones; this one closed form serves every m.
+
+Every flag derived from a held one is wrapped unchecked on its own integer
+clearing, with its det known in closed form; the checked constructor, which
+eliminates once to find the det, is for outside input.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
-from .rational import (Mat, scalar, scalar_str, inverse_transpose, _integer_clearing,
-                       _det_cleared)
+from .rational import (Mat, scalar, scalar_str, _integer_clearing, _det_cleared,
+                       _solve_cleared)
 
 
 class FlagError(ValueError):
@@ -88,14 +93,14 @@ class DecoratedFlag:
 
     The representative's rows are cleared to integers once, with the
     prefix products of their scales; Configuration.delta stacks these
-    integer rows, so coordinates never touch Fraction arithmetic.  The
-    determinant, computed from them to validate the representative, is
-    kept, so ``unimodularize`` needs no second elimination.
+    integer rows, so coordinates never touch Fraction arithmetic.  The det
+    is kept; the constructor requires it to be 1, and ``scale_rows`` is the
+    one way to a flag of another det.
     """
 
     __slots__ = ("m", "rep", "_ints", "_scales", "_det")
 
-    def __init__(self, rep, require_unimodular=True):
+    def __init__(self, rep):
         if not isinstance(rep, Mat):
             rep = Mat(rep)
         if not rep.is_square:
@@ -107,15 +112,15 @@ class DecoratedFlag:
         d = self._det = _det_cleared(ints, self._scales[-1])
         if d == 0:
             raise FlagError("flag representative is singular")
-        if require_unimodular and d != 1:
+        if d != 1:
             raise FlagError("flag representative has det %s != 1" % scalar_str(d))
 
     @classmethod
-    def _of(cls, rows, ints, scales):
-        """Wrap the Fraction rows of a det-1 representative and their integer
-        clearing (int rows, prefix scales) as is, without checking."""
+    def _of(cls, rows, ints, scales, det):
+        """Wrap the Fraction rows of a representative of det ``det`` and their
+        integer clearing (int rows, prefix scales) as is, without checking."""
         f = object.__new__(cls)
-        f.m, f.rep, f._det = len(rows), Mat._of(tuple(map(tuple, rows))), Fraction(1)
+        f.m, f.rep, f._det = len(rows), Mat._of(tuple(map(tuple, rows))), det
         f._ints, f._scales = tuple(ints), scales
         return f
 
@@ -134,8 +139,8 @@ class DecoratedFlag:
         """The unique coset representative.
 
         Each row is reduced against the pivot columns of the earlier rows,
-        using only additions of earlier rows; idempotent, and constant on
-        cosets.
+        using only additions of earlier rows, which keep the det; idempotent,
+        and constant on cosets.
         """
         rows = [list(r) for r in self.rep.entries]
         pivots = []
@@ -146,17 +151,7 @@ class DecoratedFlag:
                     rows[t] = [a - f * b for a, b in zip(rows[t], rows[j])]
             piv = next(c for c, x in enumerate(rows[t]) if x != 0)
             pivots.append(piv)
-        return DecoratedFlag(Mat._of(tuple(map(tuple, rows))), require_unimodular=False)
-
-    def unimodularize(self):
-        """Scale the last row so the representative has det 1.
-
-        Only the top decoration changes, which no coordinate sees.
-        """
-        d = self._det
-        if d == 1:
-            return self
-        return DecoratedFlag(self.rep.scale_row(self.m - 1, 1 / d))
+        return DecoratedFlag._of(rows, *_integer_clearing(rows), self._det)
 
     def orthogonal(self):
         """The orthogonal flag: J F^{-T} J, rescaled to det 1.
@@ -165,16 +160,27 @@ class DecoratedFlag:
         left and the column order on the right.  Prefix spans of the result
         are the orthocomplements of the input's suffix spans under the
         bilinear form x J y^T; applying the map twice returns the same coset.
+
+        The held int rows are D F, D the diagonal of row scales, so one
+        elimination of [D F | D] gives F^{-1} = Y / p; J F^{-T} J has det
+        1 / det F, so its last row is scaled by the held det F.
         """
-        rows = inverse_transpose(self.rep).entries
-        out = Mat._of(tuple(row[::-1] for row in reversed(rows)))
-        return DecoratedFlag(out, require_unimodular=False).unimodularize()
+        m, s = self.m, self._scales
+        aug = [list(row) + [s[i + 1] // s[i] if j == i else 0 for j in range(m)]
+               for i, row in enumerate(self._ints)]
+        y, p = _solve_cleared(aug, m)
+        # row i of J F^{-T} J is column m - 1 - i of F^{-1}, read upwards
+        rows = [[Fraction(v, p) for v in reversed(col)] for col in reversed(list(zip(*y)))]
+        rows[-1] = [x * self._det for x in rows[-1]]
+        return DecoratedFlag._of(rows, *_integer_clearing(rows), 1)
 
     def scale_rows(self, factors):
-        return DecoratedFlag(
-            Mat([[scalar(f) * x for x in row]
-                 for f, row in zip(factors, self.rep.entries)]),
-            require_unimodular=False)
+        """Row i scaled by factors[i], all nonzero; the det scales by their product."""
+        factors = [scalar(f) for f in factors]
+        if len(factors) != self.m or not all(factors):
+            raise FlagError("scale_rows needs %d nonzero factors" % self.m)
+        rows = [[f * x for x in row] for f, row in zip(factors, self.rep.entries)]
+        return DecoratedFlag._of(rows, *_integer_clearing(rows), self._det * prod(factors))
 
 
 class Configuration:

@@ -6,9 +6,8 @@ form, with the sign carried on the numerator.  They serialize as the string
 
 Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
 constructor coerces every entry through ``scalar`` (so it rejects floats);
-paths that already hold Fractions (transpose, row scaling, inverses,
-stacked coordinate rows, canonical forms) wrap them as they are with the
-internal ``Mat._of``.
+paths that already hold Fractions (inverses, flags the library derives)
+wrap them as they are with the internal ``Mat._of``.
 
 Determinants, solves, inverses and cofactor vectors run on Python ints.
 Each row is cleared to integers once, as numerator * (lcm // denominator)
@@ -109,15 +108,6 @@ class Mat:
     @property
     def is_square(self):
         return self.rows == self.cols
-
-    def transpose(self):
-        return Mat._of(tuple(zip(*self.entries)))
-
-    def scale_row(self, i, factor):
-        factor = scalar(factor)
-        rows = list(self.entries)
-        rows[i] = tuple(factor * x for x in rows[i])
-        return Mat._of(tuple(rows))
 
 
 def _clear_row(row):
@@ -240,11 +230,6 @@ def inverse(a):
         rows.append(ints + [d if j == i else 0 for j in range(n)])
     y, p = _solve_cleared(rows, n)
     return Mat._of(tuple(tuple(Fraction(v, p) for v in yi) for yi in y))
-
-
-def inverse_transpose(a):
-    """(a^-1)^T exactly; det of the result is 1/det(a)."""
-    return inverse(a).transpose()
 
 
 def _cofactor_ints(int_rows):

@@ -57,7 +57,7 @@ def charts_to_flags(p):
 
     # vertex 1: the standard flag
     standard = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
-    flags = [DecoratedFlag._of(standard, *_integer_clearing(standard))]
+    flags = [DecoratedFlag._of(standard, *_integer_clearing(standard), 1)]
 
     # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
     rows = []
@@ -88,7 +88,7 @@ def _completed(rows, known):
     norm = sum(x * x for x in cof)
     last = [Fraction(x * scales[-1], norm) for x in cof]
     r, s = _clear_row(last)
-    return DecoratedFlag._of(rows + [last], ints + [r], scales + [scales[-1] * s])
+    return DecoratedFlag._of(rows + [last], ints + [r], scales + [scales[-1] * s], 1)
 
 
 def _solve_flag(values, n, v, prev, m):

@@ -38,6 +38,18 @@ def mat_mul(a, b):
                 for row in a.entries])
 
 
+def transpose(m):
+    return Mat(list(zip(*m.entries)))
+
+
+def scale_row(m, i, factor):
+    """Row i times factor, as a new Mat."""
+    factor = scalar(factor)
+    rows = list(m.entries)
+    rows[i] = [factor * x for x in rows[i]]
+    return Mat(rows)
+
+
 def add_multiple_of_row(m, dst, src, factor):
     """The row operation dst += factor * src, as a new Mat."""
     factor = scalar(factor)

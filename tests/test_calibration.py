@@ -16,10 +16,10 @@ the first passer in a fixed candidate order.
 from itertools import product
 
 from totpos.flags import Configuration, DecoratedFlag, sign_normalize, FlagError
-from totpos.rational import Mat, inverse_transpose
+from totpos.rational import Mat, det, inverse
 from totpos.reconstruct import random_positive
 
-from conftest import mat_mul
+from conftest import mat_mul, scale_row, transpose
 
 CALIBRATION_SEED = 20260825
 TRIALS = 8
@@ -35,12 +35,13 @@ def closed_form_convention(m):
 
 
 def perp_with(flag, eps, q):
-    """Signed row reversal of the inverse transpose, times a fixed symmetric Q."""
+    """Signed row reversal of the inverse transpose, times a fixed symmetric Q,
+    with the last row rescaled to det 1."""
     m = flag.m
-    c = inverse_transpose(flag.rep)
+    c = transpose(inverse(flag.rep))
     rows = [[eps[i] * x for x in c.entries[m - 1 - i]] for i in range(m)]
     out = mat_mul(Mat(rows), Mat(q))
-    return DecoratedFlag(out, require_unimodular=False).unimodularize()
+    return DecoratedFlag(scale_row(out, m - 1, 1 / det(out)))
 
 
 def _candidate_q_matrices(m):

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totpos import flags
-from totpos.rational import Mat, det
+from totpos import flags, rational
+from totpos.rational import Mat, det, _integer_clearing
 from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
                           check_index, sign_normalize, relabel, rotate,
                           rotate_inv, face, iota, theta, reverse, FlagError,
@@ -15,8 +15,9 @@ from totpos.polygon import Triangulation, ChartPoint, index_at
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 
-from conftest import add_multiple_of_row, det_oracle, mat_mul, random_triangulation
-from test_calibration import antidiagonal
+from conftest import (add_multiple_of_row, det_oracle, mat_mul, random_triangulation,
+                      scale_row, transpose)
+from test_calibration import antidiagonal, closed_form_convention, perp_with
 
 
 def test_admissible_index_count():
@@ -77,9 +78,8 @@ def test_delta_is_coset_invariant():
 def test_delta_is_unimodular_invariant():
     c = random_positive(4, 3, 4)
     g = Mat([[1, 2, 0], [0, 1, 3], [1, 0, 1]])  # det 7
-    g = g.scale_row(2, Fraction(1, det(g)))
-    c2 = Configuration([DecoratedFlag(mat_mul(f.rep, g), require_unimodular=False)
-                        for f in c.flags])
+    g = scale_row(g, 2, Fraction(1, det(g)))
+    c2 = Configuration([DecoratedFlag(mat_mul(f.rep, g)) for f in c.flags])
     assert c.same_point(c2)
 
 
@@ -88,7 +88,7 @@ def test_flag_validation():
         DecoratedFlag(Mat([[1, 2], [2, 4]]))
     with pytest.raises(FlagError):
         DecoratedFlag(Mat([[2, 0], [0, 1]]))
-    DecoratedFlag(Mat([[2, 0], [0, 1]]), require_unimodular=False)
+    assert DecoratedFlag(Mat([[1, 0], [0, 1]])).scale_rows([2, 1])._det == 2
 
 
 def test_canonicalize_is_idempotent_and_constant_on_cosets():
@@ -130,12 +130,56 @@ def test_orthogonal_exchanges_prefix_and_suffix_spans():
         c = random_positive(3, m, 23 + m)
         for f in c.flags:
             g = f.orthogonal()
-            gb = mat_mul(g.rep, b.transpose())
+            gb = mat_mul(g.rep, transpose(b))
             for i in range(m):
                 for j in range(m - 1 - i):
                     pairing = sum(gb.entries[i][k] * f.rep.entries[j][k]
                                   for k in range(m))
                     assert pairing == 0
+
+
+def test_derived_flags_skip_the_checked_constructor(monkeypatch):
+    # every flag derived from a held one is wrapped on its own integer
+    # clearing, with its det in closed form: no second elimination and no
+    # Fraction inverse
+    points = {m: random_positive(3, m, 31 + m) for m in range(2, 6)}
+
+    def refuse(*args):
+        raise AssertionError("checked flag constructor or Fraction inverse")
+
+    monkeypatch.setattr(DecoratedFlag, "__init__", refuse)
+    monkeypatch.setattr(rational, "inverse", refuse)
+    for m, c in points.items():
+        assert reverse(reverse(c)).same_point(c)
+        assert theta(theta(c)).same_point(c)
+        assert rotate_inv(rotate(c)).same_point(c)
+        e = face(c, 2)
+        assert iota(iota(e)).same_point(e)
+        f = c.flags[0]
+        assert f.orthogonal().orthogonal() == f
+        assert f.canonicalize() == f
+        flipped = Configuration([f.scale_rows([-1] + [1] * (m - 1)), *c.flags[1:]])
+        assert flipped.flags[0]._det == -1 and not flipped.is_positive()
+        assert sign_normalize(flipped).same_point(c)
+
+
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 6), st.integers(0, 10 ** 6), st.data())
+def test_derived_flags_hold_their_own_clearing_and_det(m, seed, data):
+    f = random_positive(3, m, seed).flags[data.draw(st.integers(0, 2))]
+    factors = data.draw(st.lists(nonzero_rationals, min_size=m, max_size=m))
+    for g in (f, f.scale_rows(factors)):
+        assert g.orthogonal().rep == perp_with(g, *closed_form_convention(m)).rep
+        for d in (g.orthogonal(), g.scale_rows(factors), g.canonicalize()):
+            ints, scales = _integer_clearing(d.rep.entries)
+            assert list(d._ints) == ints and d._scales == scales
+            assert d._det == det(d.rep)
+    for bad in ([0] + [1] * (m - 1), [1] * (m - 1), [1] * (m + 1)):
+        with pytest.raises(FlagError):
+            f.scale_rows(bad)
 
 
 def test_sign_normalize_reaches_positive_chamber():
@@ -314,8 +358,7 @@ def test_same_point_agrees_with_the_full_comparison(n, m, seed, kind, data):
         b = Configuration(moved)
     elif kind == "last row":
         x = data.draw(st.sampled_from([-1, 2, Fraction(-3, 7)]))
-        moved[k] = DecoratedFlag(moved[k].rep.scale_row(m - 1, x),
-                                 require_unimodular=False)
+        moved[k] = moved[k].scale_rows([1] * (m - 1) + [x])
         b = Configuration(moved)
     else:
         values = dict(p.values)

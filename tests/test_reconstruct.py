@@ -156,11 +156,12 @@ def test_chart_round_trip_on_drawn_triangulations(pair, m, seed):
 
 def test_reconstruction_forms_no_intermediate_matrix(monkeypatch):
     # the row solves stay in integers, and each rebuilt flag has det 1 by
-    # construction, so no Mat is coerced and no flag rescaled
+    # construction, so no Mat is coerced and no flag goes through the
+    # checked constructor
     def refuse(*args):
-        raise AssertionError("intermediate matrix or rescaling")
+        raise AssertionError("intermediate matrix or checked flag")
     monkeypatch.setattr(Mat, "__init__", refuse)
-    monkeypatch.setattr(DecoratedFlag, "unimodularize", refuse)
+    monkeypatch.setattr(DecoratedFlag, "__init__", refuse)
     for (n, m) in [(3, 2), (5, 3), (7, 5)]:
         t = random_triangulation(n, 2)
         p = random_chart_point(t, m, 59 * n + m)
