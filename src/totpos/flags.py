@@ -12,14 +12,15 @@ unimodular right multiplication.  Its invariants are the coordinates
 delta(idx): the determinant obtained by stacking, in vertex order, the first
 idx[k] rows of flag k, for each multi-index idx with sum m and at least two
 nonzero entries.  Equality of configurations is equality of all coordinates;
-identical representatives decide it at once, since they give identical
-coordinates.
+identical clearings, that is identical representatives, decide it at once,
+since they give identical coordinates.
 
 The reversal map (reverse, with its edge and triangle cases iota and theta)
 is built from the orthogonal flag J F^{-T} J of a representative F, where J
 is the antidiagonal matrix of ones; this one closed form serves every m.
 
-Every flag derived from a held one is wrapped unchecked on its own integer
+A flag is held as its integer clearing only; its Fraction rows are formed
+when ``rep`` is read.  Every derived flag is wrapped unchecked on its own
 clearing, with its det known in closed form; the checked constructor, which
 eliminates once to find the det, is for outside input.
 """
@@ -29,8 +30,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .rational import (Mat, scalar, scalar_str, _integer_clearing, _det_cleared,
-                       _solve_cleared)
+from .rational import (Mat, scalar, scalar_str, _clear_ratio, _integer_clearing,
+                       _prefix_scales, _det_cleared, _solve_cleared)
 
 
 class FlagError(ValueError):
@@ -91,14 +92,15 @@ def check_index(idx, n, m):
 class DecoratedFlag:
     """A complete flag of R^m with volume decorations, as an m x m matrix.
 
-    The representative's rows are cleared to integers once, with the
-    prefix products of their scales; Configuration.delta stacks these
-    integer rows, so coordinates never touch Fraction arithmetic.  The det
-    is kept; the constructor requires it to be 1, and ``scale_rows`` is the
-    one way to a flag of another det.
+    A flag is held as its integer clearing only: int rows, the prefix
+    products of their row scales, and the det.  Configuration.delta stacks
+    the int rows, so coordinates never touch Fraction arithmetic; the
+    Fraction representative is formed when ``rep`` is read.  The checked
+    constructor requires det 1, and ``scale_rows`` is the one way to a flag
+    of another det.
     """
 
-    __slots__ = ("m", "rep", "_ints", "_scales", "_det")
+    __slots__ = ("m", "_ints", "_scales", "_det")
 
     def __init__(self, rep):
         if not isinstance(rep, Mat):
@@ -106,7 +108,6 @@ class DecoratedFlag:
         if not rep.is_square:
             raise FlagError("flag representative must be square")
         self.m = rep.rows
-        self.rep = rep
         ints, self._scales = _integer_clearing(rep.entries)
         self._ints = tuple(ints)  # elimination rebinds the list's entries
         d = self._det = _det_cleared(ints, self._scales[-1])
@@ -116,13 +117,19 @@ class DecoratedFlag:
             raise FlagError("flag representative has det %s != 1" % scalar_str(d))
 
     @classmethod
-    def _of(cls, rows, ints, scales, det):
-        """Wrap the Fraction rows of a representative of det ``det`` and their
-        integer clearing (int rows, prefix scales) as is, without checking."""
+    def _of(cls, ints, scales, det):
+        """Wrap the canonical integer clearing (int rows, prefix scales) of a
+        representative of det ``det`` as is, without checking."""
         f = object.__new__(cls)
-        f.m, f.rep, f._det = len(rows), Mat._of(tuple(map(tuple, rows))), det
-        f._ints, f._scales = tuple(ints), scales
+        f.m, f._ints, f._scales, f._det = len(ints), tuple(ints), scales, det
         return f
+
+    @property
+    def rep(self):
+        """The representative, a Mat of Fractions: row i is int row i over its scale."""
+        s = self._scales
+        return Mat._of(tuple(tuple(Fraction(x, s[i + 1] // s[i]) for x in row)
+                             for i, row in enumerate(self._ints)))
 
     def __eq__(self, other):
         """Equality of decorated flags, i.e. of coset normal forms."""
@@ -151,7 +158,7 @@ class DecoratedFlag:
                     rows[t] = [a - f * b for a, b in zip(rows[t], rows[j])]
             piv = next(c for c, x in enumerate(rows[t]) if x != 0)
             pivots.append(piv)
-        return DecoratedFlag._of(rows, *_integer_clearing(rows), self._det)
+        return DecoratedFlag._of(*_integer_clearing(rows), self._det)
 
     def orthogonal(self):
         """The orthogonal flag: J F^{-T} J, rescaled to det 1.
@@ -165,22 +172,26 @@ class DecoratedFlag:
         elimination of [D F | D] gives F^{-1} = Y / p; J F^{-T} J has det
         1 / det F, so its last row is scaled by the held det F.
         """
-        m, s = self.m, self._scales
+        m, s, d = self.m, self._scales, self._det
         aug = [list(row) + [s[i + 1] // s[i] if j == i else 0 for j in range(m)]
                for i, row in enumerate(self._ints)]
         y, p = _solve_cleared(aug, m)
         # row i of J F^{-T} J is column m - 1 - i of F^{-1}, read upwards
-        rows = [[Fraction(v, p) for v in reversed(col)] for col in reversed(list(zip(*y)))]
-        rows[-1] = [x * self._det for x in rows[-1]]
-        return DecoratedFlag._of(rows, *_integer_clearing(rows), 1)
+        rows = [col[::-1] for col in reversed(list(zip(*y)))]
+        rows[-1] = [x * d.numerator for x in rows[-1]]
+        dens = [p] * (m - 1) + [p * d.denominator]
+        return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), 1)
 
     def scale_rows(self, factors):
         """Row i scaled by factors[i], all nonzero; the det scales by their product."""
         factors = [scalar(f) for f in factors]
         if len(factors) != self.m or not all(factors):
             raise FlagError("scale_rows needs %d nonzero factors" % self.m)
-        rows = [[f * x for x in row] for f, row in zip(factors, self.rep.entries)]
-        return DecoratedFlag._of(rows, *_integer_clearing(rows), self._det * prod(factors))
+        s = self._scales
+        rows = [[f.numerator * x for x in row] for f, row in zip(factors, self._ints)]
+        dens = [f.denominator * (s[i + 1] // s[i]) for i, f in enumerate(factors)]
+        det = self._det * prod(factors)
+        return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), det)
 
 
 class Configuration:
@@ -247,14 +258,15 @@ class Configuration:
     def same_point(self, other):
         """Equality as configurations: every coordinate agrees exactly.
 
-        Identical representatives give identical coordinates, so they decide
-        it without arithmetic (charts_to_flags fixes its gauge from the point
-        alone).  Otherwise the coordinates are compared in admissible order,
+        Identical clearings, i.e. representatives, give identical coordinates,
+        so they decide it at once (charts_to_flags fixes its gauge from the
+        point alone).  Otherwise the coordinates are compared in admissible order,
         through the unchecked _delta, up to the first that differs.
         """
         if self.n != other.n or self.m != other.m:
             return False
-        if all(f.rep == g.rep for f, g in zip(self.flags, other.flags)):
+        if all(f._ints == g._ints and f._scales == g._scales
+               for f, g in zip(self.flags, other.flags)):
             return True
         return all(self._delta(idx) == other._delta(idx)
                    for idx in admissible_indices(self.n, self.m))

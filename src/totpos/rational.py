@@ -18,7 +18,7 @@ Fractions are formed only for the results.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
@@ -118,14 +118,24 @@ def _clear_row(row):
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
+def _clear_ratio(nums, den):
+    """The ``_clear_row`` of the row nums / den, a nonzero int ``den``, with
+    no Fraction: one gcd g, signed as ``den``, reduces every entry at once."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
 def _integer_clearing(rows):
-    """Scale each row to integers; return (int rows, prefix scales), where
-    scales[k] is the product of the first k row scales, so the first k int
+    """Scale each row to integers; return (int rows, prefix scales)."""
+    return _prefix_scales(map(_clear_row, rows))
+
+
+def _prefix_scales(cleared):
+    """(int rows, prefix scales) from (int row, scale) pairs: the first k int
     rows are scales[k] times the first k rows as a block."""
     int_rows = []
     scales = [1]
-    for row in rows:
-        ints, d = _clear_row(row)
+    for ints, d in cleared:
         int_rows.append(ints)
         scales.append(scales[-1] * d)
     return int_rows, scales

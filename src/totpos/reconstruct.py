@@ -7,13 +7,14 @@ triangulation there first.  The first two flags are pinned explicitly
 (standard flag and a scaled antidiagonal flag matched to the {1, 2} edge
 values), and flag v = 3..n is solved row by row from the chart values of
 the fan triangle (1, v-1, v).  Each row is one integer system on cofactor
-vectors read off one elimination; each flag has det 1 and is wrapped as is.
+vectors read off one elimination, its solution cleared with one gcd; each
+flag has det 1 and is held as that clearing; reading ``rep`` forms Fractions.
 """
 
 import random
 from fractions import Fraction
 
-from .rational import (scalar_str, _bareiss, _clear_row, _integer_clearing,
+from .rational import (scalar_str, _bareiss, _clear_ratio, _integer_clearing,
                        _cofactor_ints, _solve_cleared)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
@@ -56,8 +57,8 @@ def charts_to_flags(p):
     values = transport(p, Triangulation.fan(n)).values
 
     # vertex 1: the standard flag
-    standard = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
-    flags = [DecoratedFlag._of(standard, *_integer_clearing(standard), 1)]
+    standard = [[int(j == i) for j in range(m)] for i in range(m)]
+    flags = [DecoratedFlag._of(standard, [1] * (m + 1), 1)]
 
     # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
     rows = []
@@ -68,15 +69,15 @@ def charts_to_flags(p):
         prod = target
         rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
     known = _integer_clearing(rows)
-    flags.append(_completed(rows, known))
+    flags.append(_completed(known))
     for v in range(3, n + 1):
-        rows, known = _solve_flag(values, n, v, known, m)
-        flags.append(_completed(rows, known))
+        known = _solve_flag(values, n, v, known, m)
+        flags.append(_completed(known))
     return Configuration(flags)
 
 
-def _completed(rows, known):
-    """The flag of the m - 1 ``rows`` of integer clearing ``known``, completed
+def _completed(known):
+    """The flag of the m - 1 rows of integer clearing ``known``, completed
     by the row that makes its det exactly 1, canonically: wrapped unchecked.
 
     With C the integer cofactor vector of the cleared rows and s their
@@ -86,14 +87,13 @@ def _completed(rows, known):
     ints, scales = known
     cof = _cofactor_ints(ints)
     norm = sum(x * x for x in cof)
-    last = [Fraction(x * scales[-1], norm) for x in cof]
-    r, s = _clear_row(last)
-    return DecoratedFlag._of(rows + [last], ints + [r], scales + [scales[-1] * s], 1)
+    r, s = _clear_ratio([x * scales[-1] for x in cof], norm)
+    return DecoratedFlag._of(ints + [r], scales + [scales[-1] * s], 1)
 
 
 def _solve_flag(values, n, v, prev, m):
-    """The first m - 1 rows of flag v, and their integer clearing, from the
-    fan chart ``values`` on the triangle (1, v-1, v).
+    """The integer clearing (int rows, prefix scales) of the first m - 1
+    rows of flag v, from the fan chart ``values`` on the triangle (1, v-1, v).
 
     ``prev`` is the integer clearing (int rows, prefix scales) of flag
     v - 1; flag 1 is standard, with scales 1.  The chart values with weight
@@ -101,7 +101,7 @@ def _solve_flag(values, n, v, prev, m):
     ``_nested_cofactors``; Euclidean orthogonality to the earlier rows of
     flag v supplies the remaining k - 1 and fixes the coset representative.
     """
-    rows, ints, scales = [], [], [1]
+    ints, scales = [], [1]
     for k in range(1, m):
         system = []
         for i, cof in enumerate(_nested_cofactors(ints, prev[0], m)):
@@ -115,12 +115,10 @@ def _solve_flag(values, n, v, prev, m):
                           + [value.numerator * prev[1][j] * scales[-1]])
         system.extend(r + [0] for r in ints)
         y, d = _solve_cleared(system, m)
-        row = [Fraction(yi[0], d) for yi in y]
-        r, s = _clear_row(row)
-        rows.append(row)
+        r, s = _clear_ratio([yi[0] for yi in y], d)
         ints.append(r)
         scales.append(scales[-1] * s)
-    return rows, (ints, scales)
+    return ints, scales
 
 
 def _nested_cofactors(ints, prev, m):

@@ -14,6 +14,7 @@ from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
 from totpos.polygon import Triangulation, ChartPoint, index_at
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
+from totpos.cactus import IntervalGen, act_word
 
 from conftest import (add_multiple_of_row, det_oracle, mat_mul, random_triangulation,
                       scale_row, transpose)
@@ -161,6 +162,28 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
         flipped = Configuration([f.scale_rows([-1] + [1] * (m - 1)), *c.flags[1:]])
         assert flipped.flags[0]._det == -1 and not flipped.is_positive()
         assert sign_normalize(flipped).same_point(c)
+
+
+def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
+    # a flag is held as its integer clearing; only rep, and so to_json,
+    # canonicalize and __repr__, form Fractions from it
+    p = random_chart_point(random_triangulation(6, 2), 3, 43)
+    a, b = charts_to_flags(p), charts_to_flags(p)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction representative was formed")
+
+    monkeypatch.setattr(DecoratedFlag, "rep", property(refuse))
+    assert act_word(a, [IntervalGen(2, 5), IntervalGen(6, 3)]).is_positive()
+    assert flags_to_charts(a, p.triangulation).values == p.values
+    assert reverse(reverse(a)).same_point(a)
+    f = a.flags[2]
+    flipped = Configuration([*a.flags[:2], f.scale_rows([-1, -1, 1]), *a.flags[3:]])
+    assert not flipped.is_positive() and sign_normalize(flipped).same_point(a)
+    assert f.orthogonal().orthogonal()._det == 1
+    assert a.same_point(b)
+    monkeypatch.setattr(Configuration, "_delta", refuse)
+    assert a.same_point(b) and b.same_point(a)
 
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos.rational import (Mat, det, solve, inverse, scalar, scalar_str,
-                             SingularMatrixError, _integer_clearing, _cofactor_ints)
+                             SingularMatrixError, _clear_ratio, _clear_row,
+                             _integer_clearing, _cofactor_ints)
 
 from conftest import add_multiple_of_row, det_oracle, identity, mat_mul, transpose
 
@@ -51,6 +52,13 @@ def first_dependent_column(a):
             return k
         basis.append((p, v))
     return None
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
+                min_size=1, max_size=7),
+       st.integers(-10 ** 6, 10 ** 6).filter(bool))
+def test_clear_ratio_is_the_clearing_of_the_fraction_row(nums, den):
+    assert _clear_ratio(nums, den) == _clear_row([Fraction(x, den) for x in nums])
 
 
 @given(rationals, rationals)
