@@ -9,12 +9,12 @@ constructor coerces every entry through ``scalar`` (so it rejects floats);
 paths that already hold Fractions (inverses, flags the library derives)
 wrap them as they are with the internal ``Mat._of``.
 
-Determinants, solves, inverses and cofactor vectors run on Python ints.
-Each row is cleared to integers once, as numerator * (lcm // denominator)
-with no Fraction arithmetic, and fraction-free Bareiss elimination (Math.
-Comp. 22, 1968) keeps every intermediate entry a minor of the cleared
-matrix, so its divisions are exact and its entries polynomially bounded.
-Fractions are formed only for the results.
+Determinants, solves and inverses run on Python ints.  Each row is
+cleared to integers once, as numerator * (lcm // denominator) with no
+Fraction arithmetic, and fraction-free Bareiss elimination (Math. Comp. 22,
+1968) keeps every intermediate entry a minor of the cleared matrix, so its
+divisions are exact and its entries polynomially bounded.  Fractions are
+formed only for the results.
 """
 
 from fractions import Fraction
@@ -241,20 +241,3 @@ def inverse(a):
     y, p = _solve_cleared(rows, n)
     return Mat._of(tuple(tuple(Fraction(v, p) for v in yi) for yi in y))
 
-
-def _cofactor_ints(int_rows):
-    """The integer vector c with det(int_rows + [x]) = x . c for all x.
-
-    With R the cleared rows, det([R; e_t]) = det([R^T | e_t]), and these m
-    matrices share their first m - 1 columns, so one elimination of
-    [R^T | I] on those columns leaves every probe determinant in its last
-    row.
-    """
-    m = len(int_rows) + 1
-    aug = [list(col) + [int(i == t) for t in range(m)]
-           for i, col in enumerate(zip(*int_rows))]
-    try:
-        sign = _bareiss(aug, m - 1)
-    except SingularMatrixError:
-        return [0] * m
-    return [sign * v for v in aug[m - 1][m - 1:]]

@@ -6,16 +6,22 @@ values on the fan at vertex 1, transporting a point on any other
 triangulation there first.  The first two flags are pinned explicitly
 (standard flag and a scaled antidiagonal flag matched to the {1, 2} edge
 values), and flag v = 3..n is solved row by row from the chart values of
-the fan triangle (1, v-1, v).  Each row is one integer system on cofactor
-vectors read off one elimination, its solution cleared with one gcd; each
-flag has det 1 and is held as that clearing; reading ``rep`` forms Fractions.
+the fan triangle (1, v-1, v).  A row's conditions are dot products with
+cofactor vectors read off one elimination, each with one more leading zero
+than the last and a nonzero pivot, so back substitution meets them; taking
+out the projection on the flag's earlier rows, which are mutually
+orthogonal, makes the row orthogonal to them.  Each flag's last row is e_1
+less its projection on the other rows, over the chart value with weights
+(1, m-1) on the edge {1, v}: det 1 with no elimination.  Each row is
+cleared with one gcd; each flag is held as that clearing; reading ``rep``
+forms Fractions.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
-from .rational import (scalar_str, _bareiss, _clear_ratio, _integer_clearing,
-                       _cofactor_ints, _solve_cleared)
+from .rational import scalar_str, _bareiss, _clear_ratio, _integer_clearing
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
 from .mutation import transport
@@ -69,25 +75,28 @@ def charts_to_flags(p):
         prod = target
         rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
     known = _integer_clearing(rows)
-    flags.append(_completed(known))
+    flags.append(_completed(known, values[index_at(n, (1, 2), (1, m - 1))]))
     for v in range(3, n + 1):
         known = _solve_flag(values, n, v, known, m)
-        flags.append(_completed(known))
+        flags.append(_completed(known, values[index_at(n, (1, v), (1, m - 1))]))
     return Configuration(flags)
 
 
-def _completed(known):
+def _completed(known, delta):
     """The flag of the m - 1 rows of integer clearing ``known``, completed
     by the row that makes its det exactly 1, canonically: wrapped unchecked.
 
-    With C the integer cofactor vector of the cleared rows and s their
-    scale, c = C / s satisfies det(rows + [x]) = x . c, and the completion
-    c / (c . c) = C s / (C . C) is rational and basis-free.
+    The rows R_l of ``known`` must be mutually orthogonal, and ``delta``
+    must be det[e_1; rows], the chart value with weight 1 at vertex 1 and
+    m - 1 at vertex v on the edge {1, v}.  Then y = (-1)^(m-1) (e_1 -
+    proj e_1) / delta, proj the orthogonal projection on the rows, is
+    orthogonal to every row and has det[rows; y] = 1: the completion
+    c / (c . c) on the rows' cofactor vector c, with no elimination.
     """
     ints, scales = known
-    cof = _cofactor_ints(ints)
-    norm = sum(x * x for x in cof)
-    r, s = _clear_ratio([x * scales[-1] for x in cof], norm)
+    nums, den = _project_out([1] + [0] * len(ints), ints)
+    f = (-1) ** len(ints) * delta.denominator
+    r, s = _clear_ratio([f * x for x in nums], den * delta.numerator)
     return DecoratedFlag._of(ints + [r], scales + [scales[-1] * s], 1)
 
 
@@ -97,33 +106,64 @@ def _solve_flag(values, n, v, prev, m):
 
     ``prev`` is the integer clearing (int rows, prefix scales) of flag
     v - 1; flag 1 is standard, with scales 1.  The chart values with weight
-    k at v give m - k + 1 linear conditions on row k, all read off one
-    ``_nested_cofactors``; Euclidean orthogonality to the earlier rows of
-    flag v supplies the remaining k - 1 and fixes the coset representative.
+    k at v give m - k + 1 linear conditions x . C_i = r_i, i = 0..m-k, on
+    row k, with the cofactor vectors C_i all read off one
+    ``_nested_cofactors``.  C_i has i leading zeros and a nonzero pivot
+    C_i[i], a positive chart value of the triangle or its edges at 1 times
+    row scales, so back substitution on columns 0..m-k solves them.  Each
+    C_i has a zero dot product with the k - 1 earlier rows of flag v, so
+    subtracting the solution's orthogonal projection on those rows, which
+    are mutually orthogonal, keeps the conditions: the result is the unique
+    solution orthogonal to the earlier rows, the coset representative.
     """
     ints, scales = [], [1]
     for k in range(1, m):
-        system = []
-        for i, cof in enumerate(_nested_cofactors(ints, prev[0], m)):
+        nums, den = [0] * m, 1
+        for i, cof in reversed(list(enumerate(_nested_cofactors(ints, prev[0], m)))):
             j = m - k - i
             # stacked in ascending vertex order, the unknown row x is last,
             # and the determinant is x . C / scale for the integer cofactor
             # vector C; equal to the chart value a / b, it gives
-            # x . (b C) = a scale
+            # x . (b C) = a scale.  With x = nums / den known past column i
+            # (zero past m - k), this fixes x_i over the denominator den b C[i]
             value = values[index_at(n, (1, v - 1, v), (i, j, k))]
-            system.append([value.denominator * c for c in cof]
-                          + [value.numerator * prev[1][j] * scales[-1]])
-        system.extend(r + [0] for r in ints)
-        y, d = _solve_cleared(system, m)
-        r, s = _clear_ratio([yi[0] for yi in y], d)
+            b = value.denominator
+            p = b * cof[i]
+            acc = (value.numerator * prev[1][j] * scales[-1] * den
+                   - b * sum(c * x for c, x in zip(cof[i + 1:], nums[i + 1:])))
+            nums = [x * p for x in nums]
+            nums[i] = acc
+            den *= p
+        nums, d = _project_out(nums, ints)
+        r, s = _clear_ratio(nums, den * d)
         ints.append(r)
         scales.append(scales[-1] * s)
     return ints, scales
 
 
+def _project_out(nums, rows):
+    """(nums', d) with nums' / d = nums minus its orthogonal projection on
+    the mutually orthogonal int ``rows``, nums' integral.
+
+    The rows are orthogonal, so taking them out one at a time leaves each
+    later row's dot product as it was.
+    """
+    d = 1
+    for r in rows:
+        dot = sum(a * b for a, b in zip(nums, r))
+        if dot:
+            norm = sum(b * b for b in r)
+            g = gcd(dot, norm)
+            dot, norm = dot // g, norm // g
+            nums = [a * norm - dot * b for a, b in zip(nums, r)]
+            d *= norm
+    return nums, d
+
+
 def _nested_cofactors(ints, prev, m):
-    """Yield ``_cofactor_ints(e_1..e_i + prev[:m-k-i] + ints)`` for i = 0..m-k,
-    from the k - 1 int rows ``ints`` of flag v and those of flag v - 1.
+    """Yield for i = 0..m-k the integer cofactor vector C_i of the stack
+    R = e_1..e_i + prev[:m-k-i] + ints, with det(R + [x]) = x . C_i for
+    all x, from the k - 1 int rows ``ints`` of flag v and those of flag v - 1.
 
     Past e_1..e_i, the determinant is a minor on the trailing q = m - i
     columns of A's first q - 1 rows, A = ints + prev[:m-k], and the probe:

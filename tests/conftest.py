@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import totpos
-from totpos.rational import Mat, scalar
+from totpos.rational import Mat, scalar, SingularMatrixError, _bareiss
 from totpos.flags import DecoratedFlag, Configuration
 from totpos.polygon import Triangulation
 
@@ -24,6 +24,26 @@ def det_oracle(m):
                      for row in m.entries[1:]])
         total += (-1) ** j * m.entries[0][j] * det_oracle(minor)
     return total
+
+
+def cofactor_ints(int_rows):
+    """The integer vector c with det(int_rows + [x]) = x . c for all x, from
+    one elimination of its own: the oracle for the cofactor vectors that
+    reconstruct reads off nested eliminations.
+
+    With R the cleared rows, det([R; e_t]) = det([R^T | e_t]), and these m
+    matrices share their first m - 1 columns, so one elimination of
+    [R^T | I] on those columns leaves every probe determinant in its last
+    row.
+    """
+    m = len(int_rows) + 1
+    aug = [list(col) + [int(i == t) for t in range(m)]
+           for i, col in enumerate(zip(*int_rows))]
+    try:
+        sign = _bareiss(aug, m - 1)
+    except SingularMatrixError:
+        return [0] * m
+    return [sign * v for v in aug[m - 1][m - 1:]]
 
 
 def identity(n):

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from totpos.rational import (Mat, det, solve, inverse, scalar, scalar_str,
                              SingularMatrixError, _clear_ratio, _clear_row,
-                             _integer_clearing, _cofactor_ints)
+                             _integer_clearing)
 
-from conftest import add_multiple_of_row, det_oracle, identity, mat_mul, transpose
+from conftest import (add_multiple_of_row, cofactor_ints, det_oracle, identity,
+                      mat_mul, transpose)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
@@ -24,11 +25,11 @@ def unit(n, j):
 
 def cofactor_vector(rows, pos):
     """The vector c with det(rows[:pos] + [x] + rows[pos:]) = x . c for all x,
-    from ``_cofactor_ints``; ``rows`` holds m - 1 >= 1 rows of length m."""
+    from ``cofactor_ints``; ``rows`` holds m - 1 >= 1 rows of length m."""
     int_rows, scales = _integer_clearing(rows)
     # moving the probe row from the end to position pos takes m-1-pos swaps
     sign = (-1) ** (len(rows) - pos)
-    return tuple(Fraction(sign * v, scales[-1]) for v in _cofactor_ints(int_rows))
+    return tuple(Fraction(sign * v, scales[-1]) for v in cofactor_ints(int_rows))
 
 
 def inverse_by_columns(a):

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import totpos.rational as rational
 import totpos.reconstruct as reconstruct
-from totpos.rational import (Mat, _clear_row, _cofactor_ints, _integer_clearing,
-                             _solve_cleared)
+from totpos.rational import Mat, _clear_row, _integer_clearing, _solve_cleared
 from totpos.flags import DecoratedFlag, Configuration
 from totpos.polygon import Triangulation, ChartPoint, chart_indices, index_at
 from totpos.mutation import transport
@@ -13,12 +13,14 @@ from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point,
                                 ChartValueError, _nested_cofactors)
 
-from conftest import identity, random_triangulation, triangulations
+from conftest import cofactor_ints, identity, random_triangulation, triangulations
 
 
 def _charts_to_flags_reference(p):
-    """The rebuild that reads each cofactor vector off its own elimination
-    and checks every flag's det, kept as an oracle."""
+    """The old route of the rebuild, kept as an oracle: each row solved from
+    an m x m integer system on cofactor vectors that are each read off an
+    elimination of their own, each flag completed by its cofactor vector,
+    and every flag's det checked."""
     n, m = p.triangulation.n, p.m
     values = transport(p, Triangulation.fan(n)).values
     standard = [[Fraction(int(j == i)) for j in range(m)] for i in range(m)]
@@ -40,8 +42,10 @@ def _charts_to_flags_reference(p):
 
 
 def _completion_reference(known):
+    """The completion c / (c . c) on the cofactor vector c of the cleared
+    rows, which takes an elimination."""
     ints, scales = known
-    cof = _cofactor_ints(ints)
+    cof = cofactor_ints(ints)
     norm = sum(x * x for x in cof)
     return [Fraction(x * scales[-1], norm) for x in cof]
 
@@ -52,7 +56,7 @@ def _solve_flag_reference(values, n, v, first, prev, m):
         system = []
         for i in range(m - k + 1):
             j = m - k - i
-            cof = _cofactor_ints(first[0][:i] + prev[0][:j] + ints)
+            cof = cofactor_ints(first[0][:i] + prev[0][:j] + ints)
             scale = first[1][i] * prev[1][j] * scales[-1]
             value = values[index_at(n, (1, v - 1, v), (i, j, k))]
             system.append([value.denominator * c for c in cof]
@@ -95,16 +99,45 @@ def test_nested_cofactors_match_one_elimination_each(monkeypatch):
                 cofs = list(_nested_cofactors(ints[:k - 1], prev, m))
                 assert len(cofs) == m - k + 1
                 for i, cof in enumerate(cofs):
-                    assert cof == _cofactor_ints(list(first[:i]) + prev[:m - k - i]
-                                                 + ints[:k - 1])
+                    assert cof == cofactor_ints(list(first[:i]) + prev[:m - k - i]
+                                                + ints[:k - 1])
     assert signs and set(signs) == {1}
 
 
-def test_rebuilt_flags_equal_checked_flags():
-    for (n, m) in [(3, 2), (5, 3), (6, 4), (5, 5)]:
-        for f in random_positive(n, m, 61 * n + m).flags:
-            assert _fields(f) == _fields(DecoratedFlag(f.rep))
-            assert f._det == 1
+@settings(deadline=None, max_examples=25)
+@given(st.integers(3, 9), st.integers(2, 6), st.integers(0, 2 ** 32))
+def test_rebuilt_flags_equal_checked_flags(n, m, seed):
+    """Each rebuilt flag is the one the checked constructor makes of its
+    rows, with det 1, and its held int rows are pairwise orthogonal: the
+    condition under which the projections of the rebuild are exact."""
+    for f in random_positive(n, m, seed).flags:
+        assert _fields(f) == _fields(DecoratedFlag(f.rep))
+        assert f._det == 1
+        for a in range(m):
+            for b in range(a):
+                assert sum(x * y for x, y in zip(f._ints[a], f._ints[b])) == 0
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (5, 3), (6, 4), (8, 5), (9, 6)])
+def test_rebuild_runs_one_elimination_per_row(monkeypatch, n, m):
+    """On a fan point the rebuild runs one elimination on m - 1 columns per
+    row of flags 3..n that it solves, (n - 2)(m - 1) in all: flag 2 and
+    every completion take none, and no row solves a square system."""
+    calls = []
+    real = rational._bareiss
+
+    def counted(rows, ncols_reduce):
+        calls.append(ncols_reduce)
+        return real(rows, ncols_reduce)
+
+    def refuse(*args):
+        raise AssertionError("square system solved")
+    for module in (rational, reconstruct):
+        monkeypatch.setattr(module, "_bareiss", counted)
+    monkeypatch.setattr(rational, "_solve_cleared", refuse)
+    monkeypatch.setattr(reconstruct, "_solve_cleared", refuse, raising=False)
+    charts_to_flags(random_chart_point(Triangulation.fan(n), m, 67 * n + m))
+    assert calls == [m - 1] * ((n - 2) * (m - 1))
 
 
 def test_charts_to_flags_to_charts_is_value_identity():
