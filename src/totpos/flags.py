@@ -18,6 +18,9 @@ since they give identical coordinates.
 The reversal map (reverse, with its edge and triangle cases iota and theta)
 is built from the orthogonal flag J F^{-T} J of a representative F, where J
 is the antidiagonal matrix of ones; this one closed form serves every m.
+Its rows come straight from F's held int rows, made mutually orthogonal
+within the coset (every flag the library makes has such rows already), so
+it takes no elimination.
 
 A flag is held as its integer clearing only; its Fraction rows are formed
 when ``rep`` is read.  Every derived flag is wrapped unchecked on its own
@@ -31,7 +34,7 @@ from itertools import combinations
 from math import prod
 
 from .rational import (Mat, scalar, scalar_str, _clear_ratio, _integer_clearing,
-                       _prefix_scales, _det_cleared, _solve_cleared)
+                       _prefix_scales, _project_out, _det_cleared)
 
 
 class FlagError(ValueError):
@@ -168,19 +171,24 @@ class DecoratedFlag:
         are the orthocomplements of the input's suffix spans under the
         bilinear form x J y^T; applying the map twice returns the same coset.
 
-        The held int rows are D F, D the diagonal of row scales, so one
-        elimination of [D F | D] gives F^{-1} = Y / p; J F^{-T} J has det
+        No elimination: each held int row R_l, row l of D F with D the
+        diagonal of row scales d_l, first loses its projection on the
+        earlier rows, a lower-unitriangular move that keeps the coset (and,
+        on every flag the library makes, a no-op).  For mutually orthogonal
+        rows F^{-T} = diag(1 / (r_l . r_l)) F, so row i of J F^{-T} J is
+        reversed(R_l) d_l / (R_l . R_l), l = m - 1 - i; J F^{-T} J has det
         1 / det F, so its last row is scaled by the held det F.
         """
-        m, s, d = self.m, self._scales, self._det
-        aug = [list(row) + [s[i + 1] // s[i] if j == i else 0 for j in range(m)]
-               for i, row in enumerate(self._ints)]
-        y, p = _solve_cleared(aug, m)
-        # row i of J F^{-T} J is column m - 1 - i of F^{-1}, read upwards
-        rows = [col[::-1] for col in reversed(list(zip(*y)))]
-        rows[-1] = [x * d.numerator for x in rows[-1]]
-        dens = [p] * (m - 1) + [p * d.denominator]
-        return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), 1)
+        s, det = self._scales, self._det
+        held, cleared = [], []
+        for l, row in enumerate(self._ints):
+            row, d = _project_out(row, held)
+            held.append(row)
+            f, norm = d * (s[l + 1] // s[l]), sum(x * x for x in row)
+            if not l:
+                f, norm = f * det.numerator, norm * det.denominator
+            cleared.append(_clear_ratio([f * x for x in reversed(row)], norm))
+        return DecoratedFlag._of(*_prefix_scales(reversed(cleared)), 1)
 
     def scale_rows(self, factors):
         """Row i scaled by factors[i], all nonzero; the det scales by their product."""

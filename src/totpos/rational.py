@@ -14,7 +14,10 @@ cleared to integers once, as numerator * (lcm // denominator) with no
 Fraction arithmetic, and fraction-free Bareiss elimination (Math. Comp. 22,
 1968) keeps every intermediate entry a minor of the cleared matrix, so its
 divisions are exact and its entries polynomially bounded.  Fractions are
-formed only for the results.
+formed only for the results.  No library path calls the cleared system
+solver ``_solve_cleared``: it serves only the public ``solve`` and
+``inverse``.  ``_project_out`` takes a row's projection on mutually
+orthogonal int rows, for the orthogonal flag and the rebuilt flag rows.
 """
 
 from fractions import Fraction
@@ -139,6 +142,25 @@ def _prefix_scales(cleared):
         int_rows.append(ints)
         scales.append(scales[-1] * d)
     return int_rows, scales
+
+
+def _project_out(nums, rows):
+    """(nums', d) with nums' / d = nums minus its orthogonal projection on
+    the mutually orthogonal int ``rows``, nums' integral.
+
+    The rows are orthogonal, so taking them out one at a time leaves each
+    later row's dot product as it was.
+    """
+    d = 1
+    for r in rows:
+        dot = sum(a * b for a, b in zip(nums, r))
+        if dot:
+            norm = sum(b * b for b in r)
+            g = gcd(dot, norm)
+            dot, norm = dot // g, norm // g
+            nums = [a * norm - dot * b for a, b in zip(nums, r)]
+            d *= norm
+    return nums, d
 
 
 def _bareiss(rows, ncols_reduce):

@@ -19,9 +19,9 @@ forms Fractions.
 
 import random
 from fractions import Fraction
-from math import gcd
 
-from .rational import scalar_str, _bareiss, _clear_ratio, _integer_clearing
+from .rational import (scalar_str, _bareiss, _clear_ratio, _integer_clearing,
+                       _project_out)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
 from .mutation import transport
@@ -139,25 +139,6 @@ def _solve_flag(values, n, v, prev, m):
         ints.append(r)
         scales.append(scales[-1] * s)
     return ints, scales
-
-
-def _project_out(nums, rows):
-    """(nums', d) with nums' / d = nums minus its orthogonal projection on
-    the mutually orthogonal int ``rows``, nums' integral.
-
-    The rows are orthogonal, so taking them out one at a time leaves each
-    later row's dot product as it was.
-    """
-    d = 1
-    for r in rows:
-        dot = sum(a * b for a, b in zip(nums, r))
-        if dot:
-            norm = sum(b * b for b in r)
-            g = gcd(dot, norm)
-            dot, norm = dot // g, norm // g
-            nums = [a * norm - dot * b for a, b in zip(nums, r)]
-            d *= norm
-    return nums, d
 
 
 def _nested_cofactors(ints, prev, m):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 import totpos
-from totpos.rational import Mat, scalar, SingularMatrixError, _bareiss
+from totpos.rational import (Mat, scalar, SingularMatrixError, _bareiss, _clear_ratio,
+                             _prefix_scales, _solve_cleared)
 from totpos.flags import DecoratedFlag, Configuration
 from totpos.polygon import Triangulation
 
@@ -44,6 +45,26 @@ def cofactor_ints(int_rows):
     except SingularMatrixError:
         return [0] * m
     return [sign * v for v in aug[m - 1][m - 1:]]
+
+
+def orthogonal_reference(flag):
+    """J F^{-T} J of a flag F, rescaled to det 1, by the elimination route
+    the library no longer takes: the oracle for the closed form of
+    DecoratedFlag.orthogonal.
+
+    The held int rows are D F, D the diagonal of row scales, so one
+    elimination of [D F | D] gives F^{-1} = Y / p; the last row is scaled
+    by the held det F.
+    """
+    m, s, d = flag.m, flag._scales, flag._det
+    aug = [list(row) + [s[i + 1] // s[i] if j == i else 0 for j in range(m)]
+           for i, row in enumerate(flag._ints)]
+    y, p = _solve_cleared(aug, m)
+    # row i of J F^{-T} J is column m - 1 - i of F^{-1}, read upwards
+    rows = [col[::-1] for col in reversed(list(zip(*y)))]
+    rows[-1] = [x * d.numerator for x in rows[-1]]
+    dens = [p] * (m - 1) + [p * d.denominator]
+    return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), 1)
 
 
 def identity(n):

@@ -16,8 +16,8 @@ from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 from totpos.cactus import IntervalGen, act_word
 
-from conftest import (add_multiple_of_row, det_oracle, mat_mul, random_triangulation,
-                      scale_row, transpose)
+from conftest import (add_multiple_of_row, det_oracle, mat_mul, orthogonal_reference,
+                      random_triangulation, scale_row, transpose)
 from test_calibration import antidiagonal, closed_form_convention, perp_with
 
 
@@ -141,15 +141,16 @@ def test_orthogonal_exchanges_prefix_and_suffix_spans():
 
 def test_derived_flags_skip_the_checked_constructor(monkeypatch):
     # every flag derived from a held one is wrapped on its own integer
-    # clearing, with its det in closed form: no second elimination and no
-    # Fraction inverse
+    # clearing, with its det in closed form: no second elimination, and
+    # the orthogonal flag with no elimination at all
     points = {m: random_positive(3, m, 31 + m) for m in range(2, 6)}
 
     def refuse(*args):
-        raise AssertionError("checked flag constructor or Fraction inverse")
+        raise AssertionError("checked flag constructor or elimination")
 
     monkeypatch.setattr(DecoratedFlag, "__init__", refuse)
-    monkeypatch.setattr(rational, "inverse", refuse)
+    monkeypatch.setattr(rational, "_solve_cleared", refuse)
+    monkeypatch.setattr(flags, "_solve_cleared", refuse, raising=False)
     for m, c in points.items():
         assert reverse(reverse(c)).same_point(c)
         assert theta(theta(c)).same_point(c)
@@ -157,9 +158,14 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
         e = face(c, 2)
         assert iota(iota(e)).same_point(e)
         f = c.flags[0]
-        assert f.orthogonal().orthogonal() == f
-        assert f.canonicalize() == f
         flipped = Configuration([f.scale_rows([-1] + [1] * (m - 1)), *c.flags[1:]])
+        with monkeypatch.context() as patch:
+            patch.setattr(rational, "_bareiss", refuse)
+            twice = f.orthogonal().orthogonal()
+            # the sign of row 1 moves to the last row, which the det undoes
+            unflipped = flipped.flags[0].orthogonal()
+        assert twice == f and unflipped == f.orthogonal()
+        assert f.canonicalize() == f
         assert flipped.flags[0]._det == -1 and not flipped.is_positive()
         assert sign_normalize(flipped).same_point(c)
 
@@ -203,6 +209,37 @@ def test_derived_flags_hold_their_own_clearing_and_det(m, seed, data):
     for bad in ([0] + [1] * (m - 1), [1] * (m - 1), [1] * (m + 1)):
         with pytest.raises(FlagError):
             f.scale_rows(bad)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
+def test_orthogonal_closed_form_matches_elimination(m, seed, data):
+    # every flag the library makes has mutually orthogonal int rows, so the
+    # closed form gives the clearing and det the elimination route gives
+    c = random_positive(3, m, seed)
+    factors = data.draw(st.lists(nonzero_rationals, min_size=m, max_size=m))
+    for f in (*c.flags, *reverse(c).flags, c.flags[2].scale_rows(factors)):
+        ints = f._ints
+        assert all(sum(a * b for a, b in zip(ints[i], ints[j])) == 0
+                   for j in range(m) for i in range(j))
+        g, ref = f.orthogonal(), orthogonal_reference(f)
+        assert (g._ints, g._scales, g._det) == (ref._ints, ref._scales, ref._det)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
+def test_orthogonal_depends_only_on_the_coset(m, seed, data):
+    # a lower-unitriangular move L F of a flag F with orthogonal rows makes
+    # its rows non-orthogonal; the projection takes them back to F's rows
+    f = random_positive(3, m, seed).flags[data.draw(st.integers(0, 2))]
+    entries = st.integers(-4, 4).filter(bool)
+    lower = [[data.draw(entries) if j < i else int(i == j) for j in range(m)]
+             for i in range(m)]
+    moved = DecoratedFlag(mat_mul(Mat(lower), f.rep))
+    assert sum(a * b for a, b in zip(moved._ints[0], moved._ints[1])) != 0
+    g, h = moved.orthogonal(), f.orthogonal()
+    assert (g._ints, g._scales, g._det) == (h._ints, h._scales, h._det)
+    assert g == perp_with(moved, *closed_form_convention(m))
 
 
 def test_sign_normalize_reaches_positive_chamber():
