@@ -11,19 +11,25 @@ triangulation T:
 1. insert the chord {p, q} if T lacks it, one ``mutation._flip`` per
    crossing diagonal, on one copy of the values and one diagonal set;
 2. fill the chart on T's diagonals with an end outside the interval and the
-   mirror images of T's diagonals inside, in three parts:
+   mirror images of T's diagonals inside, face by face, in three parts:
    - values supported outside the interval carry over as they are;
-   - each edge value inside is one input value relabelled: out[idx] =
-     in[idx'] with idx'[mirror(w)] = m - idx[w];
-   - each face inside, its vertices in interval order, is reversed at its
-     mirror image by ``_reversal_program``, run by ``mutation._run_program``.
+   - each face inside, its vertices (u1, u2, u3) in interval order, is
+     reversed by ``_reversal_program``, run by ``mutation._run_program``, on
+     its values read under keys rewritten in one list, and moved to its
+     mirror image (mirror(u3), mirror(u2), mirror(u1)): interior weight
+     (i, j, k) to (k, i, j), and an edge value as it is, weight m - i at the
+     mirror of a vertex of weight i;
+   - the inside faces' keys leave a copy of the values before any image
+     key comes in, since inside faces share edges.
 
 The exchange program of one m is a sequence of C(m, 3) mutations of the
 Fock-Goncharov quiver of a triangle, the octahedron-recurrence form of the
 reversal (Henriques-Kamnitzer).  Every step is subtraction free, so the
-result is positive by construction.  A configuration is converted to chart
-values on the fan at vertex 1 once on the way in, and rebuilt once on the
-way out; the rebuilt flags depend only on the point, not on its chart.
+result is positive by construction.  A configuration acts through its chart
+values on the fan at vertex 1: one that ``charts_to_flags`` built holds
+them, and ``flags_to_charts`` reads them off any other.  It is rebuilt once
+on the way out; the rebuilt flags depend only on the point, not on its
+chart.
 
 The relation set (involutivity, disjoint commutation, nesting) is treated
 as a hypothesis: verify_relations samples random positive points, checks
@@ -35,8 +41,7 @@ import random
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import (Triangulation, ChartPoint, cyclic_interval, index_at, PolygonError,
-                      _beyond)
+from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError, _beyond
 from .mutation import transport, _flip, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
@@ -140,56 +145,74 @@ def _reversal_program(m):
     return tuple(steps)
 
 
-def _act_on_chart(p, g):
-    """The generator on a chart point.  Its triangulation T gains the chord
-    {p, q} by flips if it lacks it; the result lies on T's diagonals with an
-    end outside the interval and the mirror images of T's diagonals inside."""
+def _with_chord(p, iv):
+    """The triangulation and chart values of the chart point p with the
+    chord joining the ends of the interval ``iv`` put in: p's own when it
+    has the chord, otherwise a copy, one ``_flip`` per diagonal crossing it."""
     n, m = p.triangulation.n, p.m
-    iv = g.interval(n)
     a, q = iv[0], iv[-1]
     t, values = p.triangulation, p.values
-    order = {v: s for s, v in enumerate(iv)}
-    # insert the chord, one flip per diagonal crossing it (Hanke, Ottmann and
+    # one flip per diagonal crossing the chord (Hanke, Ottmann and
     # Schuierer): flip the crossed side (u, v) opposite a, u inside, to {a, w}
     # for the face (u, w, v) beyond, the counterclockwise quadrilateral
     # (u, w, v, a); then whichever of (u, w), (w, v) it crosses, whose face
     # beyond is still the input's
     beyond = _beyond(t)
+    inside = set(iv)
     u = iv[1]
-    while u != q and beyond[a, u] in order:
+    while u != q and beyond[a, u] in inside:
         u = beyond[a, u]
     if u != q:
         values, diagonals, v = dict(values), set(t.diagonals), beyond[a, u]
         while u != q:
             w = beyond[v, u]
             _flip(values, diagonals, n, m, u, w, v, a)
-            u, v = (w, v) if w in order else (u, w)
+            u, v = (w, v) if w in inside else (u, w)
         t = Triangulation._of_chords(n, diagonals)
-    outside = [v - 1 for v in range(1, n + 1) if v not in order]
-    mirror = [g.mirror(v, n) - 1 for v in range(1, n + 1)]
-    out = {}
-    for idx, value in values.items():
-        if any(idx[w] for w in outside):
-            out[idx] = value
-        elif idx.count(0) == n - 2:  # an edge inside; interiors come below
-            edge = [0] * n
-            for w, i in enumerate(idx):
-                if i:
-                    edge[mirror[w]] = m - i
-            out[tuple(edge)] = value
-    # each face inside, its vertices (u1, u2, u3) in interval order, to its mirror
-    # image, (mirror(u3), mirror(u2), mirror(u1)) in interval order
-    pts = admissible_indices(3, m)
+    return t, values
+
+
+def _act_on_chart(p, g):
+    """The generator on a chart point.  Its triangulation T gains the chord
+    {p, q} by flips if it lacks it; the result lies on T's diagonals with an
+    end outside the interval and the mirror images of T's diagonals inside.
+
+    Values supported outside the interval carry over as they are.  Each face
+    of T inside, its vertices (u1, u2, u3) in interval order, goes to its
+    mirror image (w1, w2, w3) = (mirror(u3), mirror(u2), mirror(u1)), its
+    values reversed by ``_reversal_program``: interior weight (i, j, k) of
+    the face is weight (k, i, j) of the image, and an edge weight, one of
+    them 0, is (k and m - k, j and m - j, i and m - i), the relabel that
+    puts weight m - i at the mirror of a vertex of weight i.
+    """
+    n, m = p.triangulation.n, p.m
+    iv = g.interval(n)
+    t, values = _with_chord(p, iv)
+    order = {v: s for s, v in enumerate(iv)}
+    # all old keys go before any image key comes in, since faces share edges
+    pts, steps = admissible_indices(3, m), _reversal_program(m)
+    old, new = [], []
     for f in t.triangles():
         if all(v in order for v in f):
-            tri = sorted(f, key=order.get)
-            x = [values[index_at(n, tri, w)] for w in pts]
-            _run_program(x, _reversal_program(m))
-            image = [g.mirror(v, n) for v in reversed(tri)]
-            # the reversed value at weight (k, i, j) is x(i, j, k)
+            u1, u2, u3 = sorted(f, key=order.get)
+            w1, w2, w3 = (g.mirror(v, n) - 1 for v in (u3, u2, u1))
+            # one list, rewritten for each weight, as in ``chart_indices``
+            idx = [0] * n
+            keys = [tuple(idx) for idx[u1 - 1], idx[u2 - 1], idx[u3 - 1] in pts]
+            x = [values[key] for key in keys]
+            _run_program(x, steps)
+            idx = [0] * n
             for (i, j, k), value in zip(pts, x):
                 if i and j and k:
-                    out[index_at(n, image, (k, i, j))] = value
+                    idx[w1], idx[w2], idx[w3] = k, i, j
+                else:  # the program leaves edge values as they are
+                    idx[w1], idx[w2], idx[w3] = k and m - k, j and m - j, i and m - i
+                new.append((tuple(idx), value))
+            old += keys
+    out = dict(values)
+    for key in old:
+        out.pop(key, None)
+    out.update(new)
     chords = [d if any(v not in order for v in d) else [g.mirror(v, n) for v in d]
               for d in t.diagonals]
     return ChartPoint._of(Triangulation._of_chords(n, chords), m, out)
@@ -209,10 +232,14 @@ def act_generator(x, g):
 
 def act_word(x, word):
     """Left-to-right composition of act_generator, returning the kind it
-    was given.  A configuration is converted to chart values once on the
-    way in and once on the way out."""
+    was given.  A configuration acts through its chart values on the fan at
+    vertex 1: those charts_to_flags built it from, which it holds, or else
+    those flags_to_charts reads off it.  It is rebuilt once on the way out."""
     if word and not isinstance(x, ChartPoint):
-        return charts_to_flags(act_word(flags_to_charts(x, Triangulation.fan(x.n)), word))
+        p = x._fan
+        if p is None:
+            p = flags_to_charts(x, Triangulation.fan(x.n))
+        return charts_to_flags(act_word(p, word))
     for g in word:
         x = act_generator(x, g)
     return x

@@ -212,9 +212,15 @@ class Configuration:
     their own.  delta is the checked entry point for indices from outside;
     the library's own readers, whose indices come from admissible_indices or
     chart_indices, call _delta and skip the check.
+
+    _fan is the chart point on the fan at vertex 1 that charts_to_flags
+    built the flags from, or None for flags from anywhere else.  Only
+    cactus.act_word reads it, in place of reading those values back; the
+    memo never takes from it, so flags_to_charts still computes every
+    coordinate it returns.
     """
 
-    __slots__ = ("m", "n", "flags", "_deltas")
+    __slots__ = ("m", "n", "flags", "_deltas", "_fan")
 
     def __init__(self, flags):
         flags = tuple(flags)
@@ -227,6 +233,7 @@ class Configuration:
         self.n = len(flags)
         self.flags = flags
         self._deltas = {}
+        self._fan = None
 
     def __repr__(self):
         return "Configuration(n=%d, m=%d)" % (self.n, self.m)

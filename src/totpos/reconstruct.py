@@ -57,10 +57,12 @@ def charts_to_flags(p):
     Exact round trip: flags_to_charts(charts_to_flags(p), p.triangulation)
     returns p value for value.  The point is read on the fan at vertex 1,
     so the representatives depend only on the point, and every chart of
-    one point rebuilds the same flags.
+    one point rebuilds the same flags.  The configuration keeps that fan
+    chart point as ``_fan``, for ``cactus.act_word`` to act on.
     """
     n, m = p.triangulation.n, p.m
-    values = transport(p, Triangulation.fan(n)).values
+    fan = transport(p, Triangulation.fan(n))
+    values = fan.values
 
     # vertex 1: the standard flag
     standard = [[int(j == i) for j in range(m)] for i in range(m)]
@@ -79,7 +81,9 @@ def charts_to_flags(p):
     for v in range(3, n + 1):
         known = _solve_flag(values, n, v, known, m)
         flags.append(_completed(known, values[index_at(n, (1, v), (1, m - 1))]))
-    return Configuration(flags)
+    c = Configuration(flags)
+    c._fan = fan
+    return c
 
 
 def _completed(known, delta):

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import totpos
 from totpos.rational import (Mat, scalar, SingularMatrixError, _bareiss, _clear_ratio,
                              _prefix_scales, _solve_cleared)
-from totpos.flags import DecoratedFlag, Configuration
-from totpos.polygon import Triangulation
+from totpos.flags import DecoratedFlag, Configuration, admissible_indices
+from totpos.polygon import Triangulation, ChartPoint, index_at
+from totpos.mutation import _run_program
+from totpos.cactus import _reversal_program, _with_chord
 
 
 def det_oracle(m):
@@ -65,6 +67,51 @@ def orthogonal_reference(flag):
     rows[-1] = [x * d.numerator for x in rows[-1]]
     dens = [p] * (m - 1) + [p * d.denominator]
     return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), 1)
+
+
+def act_on_chart_reference(p, g):
+    """The interval reversal g on the chart point p by the whole-chart
+    relabel the library no longer takes: the oracle for the face-by-face
+    fill of cactus._act_on_chart.
+
+    The chord goes in as the library puts it in.  Then every chart value
+    is scanned: one supported outside the interval carries over, an edge
+    value inside is relabelled, out[idx] = in[idx'] with idx'[mirror(w)] =
+    m - idx[w], and each face inside is reversed at its mirror image, one
+    index_at per weight.
+    """
+    n, m = p.triangulation.n, p.m
+    iv = g.interval(n)
+    t, values = _with_chord(p, iv)
+    order = {v: s for s, v in enumerate(iv)}
+    outside = [v - 1 for v in range(1, n + 1) if v not in order]
+    mirror = [g.mirror(v, n) - 1 for v in range(1, n + 1)]
+    out = {}
+    for idx, value in values.items():
+        if any(idx[w] for w in outside):
+            out[idx] = value
+        elif idx.count(0) == n - 2:  # an edge inside; interiors come below
+            edge = [0] * n
+            for w, i in enumerate(idx):
+                if i:
+                    edge[mirror[w]] = m - i
+            out[tuple(edge)] = value
+    # each face inside, its vertices (u1, u2, u3) in interval order, to its
+    # mirror image, (mirror(u3), mirror(u2), mirror(u1)) in interval order
+    pts = admissible_indices(3, m)
+    for f in t.triangles():
+        if all(v in order for v in f):
+            tri = sorted(f, key=order.get)
+            x = [values[index_at(n, tri, w)] for w in pts]
+            _run_program(x, _reversal_program(m))
+            image = [g.mirror(v, n) for v in reversed(tri)]
+            # the reversed value at weight (k, i, j) is x(i, j, k)
+            for (i, j, k), value in zip(pts, x):
+                if i and j and k:
+                    out[index_at(n, image, (k, i, j))] = value
+    chords = [d if any(v not in order for v in d) else [g.mirror(v, n) for v in d]
+              for d in t.diagonals]
+    return ChartPoint._of(Triangulation._of_chords(n, chords), m, out)
 
 
 def identity(n):

@@ -15,7 +15,7 @@ import totpos.cactus as cactus_module
 import totpos.mutation as mutation
 import totpos.rational as rational
 
-from conftest import triangulations
+from conftest import act_on_chart_reference, triangulations
 
 
 def _adapted_triangulation(n, iv):
@@ -320,17 +320,80 @@ def test_chord_insertion_flips_each_crossing_diagonal_once(monkeypatch, n, diago
                                           for d in t.diagonals)
 
 
-def test_configuration_word_is_converted_once_each_way(monkeypatch):
-    c = random_positive(6, 3, 11)
+def _count_conversions(monkeypatch):
     calls = []
     for name in ("charts_to_flags", "flags_to_charts"):
         real = getattr(cactus_module, name)
         monkeypatch.setattr(cactus_module, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    out = act_word(c, [IntervalGen(1, 3), IntervalGen(2, 5), IntervalGen(4, 1)])
+    return calls
+
+
+WORD = [IntervalGen(1, 3), IntervalGen(2, 5), IntervalGen(4, 1)]
+
+
+def test_rebuilt_configuration_word_acts_on_its_held_fan_chart(monkeypatch):
+    # charts_to_flags keeps the fan chart it built the flags from, so the
+    # word reads no chart off the flags: it only rebuilds on the way out
+    c = random_positive(6, 3, 11)
+    calls = _count_conversions(monkeypatch)
+    out = act_word(c, WORD)
     assert isinstance(out, Configuration)
-    assert sorted(calls) == ["charts_to_flags", "flags_to_charts"]
+    assert calls == ["charts_to_flags"]
+
+
+def test_configuration_word_is_converted_once_each_way(monkeypatch):
+    # flags with no held chart, as from JSON, are read once on the way in
+    c = random_positive(6, 3, 11)
+    calls = _count_conversions(monkeypatch)
+    for flags_only in (Configuration(c.flags), Configuration.from_json(c.to_json())):
+        assert flags_only._fan is None
+        del calls[:]
+        out = act_word(flags_only, WORD)
+        assert isinstance(out, Configuration)
+        assert sorted(calls) == ["charts_to_flags", "flags_to_charts"]
     assert act_word(c, []) is c
+
+
+@st.composite
+def configurations_and_words(draw):
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(2, 5))
+    c = random_positive(n, m, draw(st.integers(0, 10 ** 6)))
+    word = []
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(1, n))
+        word.append(IntervalGen(q, (q + draw(st.integers(2, n)) - 2) % n + 1))
+    return c, word
+
+
+@settings(deadline=None, max_examples=20)
+@given(configurations_and_words())
+def test_held_fan_chart_acts_as_the_chart_read_off_the_flags(case):
+    c, word = case
+    held = dict(c._fan.values)
+    out = act_word(c, word)
+    read = act_word(Configuration(c.flags), word)
+    assert ([(f._ints, f._scales) for f in out.flags]
+            == [(f._ints, f._scales) for f in read.flags])
+    # the action copies the held chart and leaves it as it was
+    assert c._fan.values == held
+    assert out._fan.values is not c._fan.values
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(triangulations(n), st.integers(1, n),
+                                                     st.integers(2, n))),
+       st.integers(2, 5), st.integers(0, 10 ** 6))
+def test_face_by_face_action_matches_whole_chart_relabel(case, m, seed):
+    t, a, length = case
+    p = random_chart_point(t, m, seed)
+    g = IntervalGen(a, (a + length - 2) % t.n + 1)
+    before = dict(p.values)
+    out, ref = act_generator(p, g), act_on_chart_reference(p, g)
+    assert out.triangulation == ref.triangulation
+    assert out.values == ref.values
+    assert p.values == before
 
 
 @settings(deadline=None, max_examples=15)

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import totpos.flags as flags
 import totpos.rational as rational
 import totpos.reconstruct as reconstruct
 from totpos.rational import Mat, _clear_row, _integer_clearing, _solve_cleared
 from totpos.flags import DecoratedFlag, Configuration
-from totpos.polygon import Triangulation, ChartPoint, chart_indices, index_at
+from totpos.polygon import Triangulation, ChartPoint, chart_dimension, chart_indices, index_at
 from totpos.mutation import transport
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point,
@@ -155,6 +156,21 @@ def test_flags_to_charts_to_flags_is_point_identity():
         t = random_triangulation(n, 1)
         back = charts_to_flags(flags_to_charts(c, t))
         assert back.same_point(c)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (6, 3), (8, 4)])
+def test_rebuilt_configuration_charts_by_computing_every_coordinate(monkeypatch, n, m):
+    # the rebuilt configuration keeps its fan chart for act_word alone: its
+    # memo starts empty, so reading the chart back computes each coordinate
+    fan = Triangulation.fan(n)
+    p = random_chart_point(fan, m, 61 * n + m)
+    c = charts_to_flags(p)
+    assert c._deltas == {}
+    calls = []
+    real = flags._det_cleared
+    monkeypatch.setattr(flags, "_det_cleared", lambda *a: calls.append(a) or real(*a))
+    assert flags_to_charts(c, fan) == p
+    assert len(calls) == chart_dimension(n, m)
 
 
 def test_reconstruction_gauge_pins_first_flag():
