@@ -298,8 +298,7 @@ class Configuration:
 
     @classmethod
     def from_json(cls, data):
-        flags = [DecoratedFlag(Mat([[scalar(x) for x in row] for row in rows]))
-                 for rows in data["flags"]]
+        flags = [DecoratedFlag(Mat(rows)) for rows in data["flags"]]
         c = cls(flags)
         n, m = data["n"], data["m"]
         if type(n) is not int or type(m) is not int:

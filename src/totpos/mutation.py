@@ -7,9 +7,12 @@ x, each setting x[t] = (prod x[out] + prod x[inc]) / x[d] as one Fraction.
 {a, c} of a counterclockwise quadrilateral (a, b, c, e) by {b, e}, in place
 on a dict of chart values and on a set of diagonals, in the C(m+1, 3) steps
 of Fock and Goncharov's rank-m flip; all are subtraction free, so positivity
-propagates for free.  ``flip_transport`` takes one step, ``transport`` one
-per quadrilateral that ``flip_path`` reads off the faces, and ``cactus``
-one per diagonal that crosses the chord it puts in.
+propagates for free.  Its per-m plan names the positions it deletes from
+the dict, the old chart's weights that the new one lacks, and those it
+makes, the reverse; the intermediate weights, with all four entries
+positive, live only in the program's list.  ``flip_transport`` takes one
+step, ``transport`` one per quadrilateral that ``flip_path`` reads off the
+faces, and ``cactus`` one per diagonal that crosses the chord it puts in.
 """
 
 from fractions import Fraction
@@ -26,12 +29,16 @@ class MutationError(ValueError):
 def _run_program(x, steps):
     """Run an exchange program in place on the list of Fractions ``x``.  With
     a/b and c/e the products at out and inc, and f/g = x[d], a step forms
-    x[t] = (a*e + c*b)*g / (b*e*f) from ints as one Fraction, with one gcd."""
+    x[t] = (a*e + c*b)*g / (b*e*f) from ints as one Fraction, with one gcd.
+    The one loop of both programs, the flip's and the triangle reversal's,
+    whatever the arity of their steps."""
     for t, out, inc, d in steps:
         a = b = c = e = 1
-        for v in map(x.__getitem__, out):
+        for s in out:
+            v = x[s]
             a, b = a * v.numerator, b * v.denominator
-        for v in map(x.__getitem__, inc):
+        for s in inc:
+            v = x[s]
             c, e = c * v.numerator, e * v.denominator
         v = x[d]
         x[t] = Fraction((a * e + c * b) * v.denominator, b * e * v.numerator)
@@ -39,9 +46,13 @@ def _run_program(x, steps):
 
 @lru_cache(maxsize=None)
 def _flip_program(m):
-    """The weights ``admissible_indices(4, m)`` at (a, b, c, e), and the flip's
+    """The weights ``admissible_indices(4, m)`` at (a, b, c, e), the flip's
     program on them by position: each (i, j, k, l) with j, l > 0, in ascending
-    j + l, by the exchange relation from five weights of smaller j + l."""
+    j + l, by the exchange relation from five weights of smaller j + l; and
+    its plan, the positions ``gone`` with i, k > 0 and not both j, l > 0,
+    which leave the chart, and ``made`` with j, l > 0 and not both i, k > 0,
+    which enter it.  The program reads an unwritten position only in the
+    old chart, the weights with j = 0 or l = 0."""
     pts = admissible_indices(4, m)
     pos = {w: s for s, w in enumerate(pts)}
     steps = tuple((pos[i, j, k, l],
@@ -49,7 +60,9 @@ def _flip_program(m):
                    (pos[i, j, k + 1, l - 1], pos[i + 1, j - 1, k, l]),
                    pos[i + 1, j - 1, k + 1, l - 1])
                   for i, j, k, l in sorted(pts, key=lambda w: w[1] + w[3]) if j and l)
-    return pts, steps
+    gone = tuple(s for s, (i, j, k, l) in enumerate(pts) if i and k and not (j and l))
+    made = tuple(s for s, (i, j, k, l) in enumerate(pts) if j and l and not (i and k))
+    return pts, steps, gone, made
 
 
 def _flip(values, diagonals, n, m, a, b, c, e):
@@ -57,21 +70,22 @@ def _flip(values, diagonals, n, m, a, b, c, e):
     in any rotation, in place on chart values of the n-gon and on the set of
     its ascending diagonal pairs: only the {a, c} edge and the interiors of
     faces (a, b, c) and (a, c, e) give way, to the {b, e} edge and those of
-    (a, b, e), (b, c, e)."""
+    (a, b, e), (b, c, e).  The values of the quadrilateral go into one list
+    by position, the program runs on it, and the plan deletes its ``gone``
+    keys and sets its ``made`` ones, in the order of the weights."""
     if a > c:  # one rotation per flip, so the new keys go in in one order
         a, b, c, e = c, e, a, b
-    pts, steps = _flip_program(m)
+    pts, steps, gone, made = _flip_program(m)
     # one list, rewritten for each weight, as in ``chart_indices``
     idx = [0] * n
     keys = [tuple(idx) for idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] in pts]
     # the new chart's weights with j, l > 0 start unset: the program fills them
     x = [values.get(key) for key in keys]
     _run_program(x, steps)
-    for (i, j, k, l), key, value in zip(pts, keys, x):
-        if i and k:
-            values.pop(key, None)  # the old chart's, or none when j, l > 0 too
-        elif j and l:
-            values[key] = value
+    for s in gone:
+        del values[keys[s]]
+    for s in made:
+        values[keys[s]] = x[s]
     diagonals.remove((a, c))
     diagonals.add((b, e) if b < e else (e, b))
 

@@ -338,6 +338,25 @@ def test_flip_takes_either_rotation_and_rebuilds_the_faces(n, m, data):
         assert t.flip(d).triangles() == faces
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_flip_plan_deletes_the_old_chart_and_makes_the_new(m):
+    """On the square (1, 2, 3, 4), the flip deletes the positions of the chart
+    on {1, 3} that the chart on {2, 4} lacks and makes the reverse ones; every
+    position a step reads before any step writes it is in the chart on
+    {1, 3}, so the program never reads an unset value."""
+    pts, steps, gone, made = _flip_program(m)
+    old = set(chart_indices(Triangulation(4, [(1, 3)]), m))
+    new = set(chart_indices(Triangulation(4, [(2, 4)]), m))
+    assert {pts[s] for s in gone} == old - new
+    assert {pts[s] for s in made} == new - old
+    assert not set(gone) & set(made)
+    written = set()
+    for t, out, inc, d in steps:
+        assert {pts[s] for s in (*out, *inc, d) if s not in written} <= old
+        written.add(t)
+    assert set(made) <= written
+
+
 def _run_program_reference(x, steps):
     """The exchange program evaluator on Fraction operators, kept as an
     oracle: products, sum and quotient one operation at a time."""
@@ -352,8 +371,8 @@ def test_run_program_matches_the_fraction_evaluator(m, flip, data):
     """Both programs, the flip's and the triangle reversal, on positive
     Fractions with numerators and denominators up to 2**64: one Fraction per
     step gives the operator-by-operator values, value for value."""
-    pts, steps = _flip_program(m) if flip else (admissible_indices(3, m),
-                                                _reversal_program(m))
+    pts, steps = _flip_program(m)[:2] if flip else (admissible_indices(3, m),
+                                                    _reversal_program(m))
     part = st.integers(1, 2 ** 64)
     x = [Fraction(data.draw(part), data.draw(part)) for _ in pts]
     y = list(x)
