@@ -2,7 +2,7 @@
 triangulation charts, exchange-relation flips, the reversal involution, and
 a cactus-group action with its verification harness."""
 
-from .rational import Mat, det, solve, SingularMatrixError
+from .rational import Mat, det, SingularMatrixError
 from .flags import (DecoratedFlag, Configuration, admissible_indices,
                     sign_normalize, rotate, face, iota, theta)
 from .polygon import Triangulation, ChartPoint, chart_indices, chart_dimension, glue_check
@@ -12,7 +12,7 @@ from .cactus import IntervalGen, act_generator, act_word, underlying_permutation
 from .axioms import check_axiom, check_glue
 
 __all__ = [
-    "Mat", "det", "solve", "SingularMatrixError",
+    "Mat", "det", "SingularMatrixError",
     "DecoratedFlag", "Configuration", "admissible_indices",
     "sign_normalize", "rotate", "face", "iota", "theta",
     "Triangulation", "ChartPoint", "chart_indices", "chart_dimension", "glue_check",

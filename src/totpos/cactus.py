@@ -9,7 +9,8 @@ chart values alone, with no flag and no determinant, on the chart's own
 triangulation T:
 
 1. insert the chord {p, q} if T lacks it, one ``mutation._flip`` per
-   crossing diagonal, on one copy of the values and one diagonal set;
+   crossing diagonal in the order of ``polygon._fan_flips`` toward p, on
+   one copy of the values and one diagonal set;
 2. fill the chart on T's diagonals with an end outside the interval and the
    mirror images of T's diagonals inside, face by face, in three parts:
    - values supported outside the interval carry over as they are;
@@ -41,7 +42,7 @@ import random
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError, _beyond
+from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError, _beyond, _fan_flips
 from .mutation import transport, _flip, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
@@ -147,27 +148,19 @@ def _reversal_program(m):
 
 def _with_chord(p, iv):
     """The triangulation and chart values of the chart point p with the
-    chord joining the ends of the interval ``iv`` put in: p's own when it
-    has the chord, otherwise a copy, one ``_flip`` per diagonal crossing it."""
+    chord joining the ends of the interval ``iv`` put in: p's own when no
+    diagonal crosses it, otherwise a copy, one ``_flip`` per crossing
+    diagonal in the order of ``_fan_flips`` toward iv[0] (Hanke, Ottmann and
+    Schuierer), where one side opposite iv[0] at a time crosses the chord."""
     n, m = p.triangulation.n, p.m
-    a, q = iv[0], iv[-1]
+    a = iv[0]
     t, values = p.triangulation, p.values
-    # one flip per diagonal crossing the chord (Hanke, Ottmann and
-    # Schuierer): flip the crossed side (u, v) opposite a, u inside, to {a, w}
-    # for the face (u, w, v) beyond, the counterclockwise quadrilateral
-    # (u, w, v, a); then whichever of (u, w), (w, v) it crosses, whose face
-    # beyond is still the input's
-    beyond = _beyond(t)
-    inside = set(iv)
-    u = iv[1]
-    while u != q and beyond[a, u] in inside:
-        u = beyond[a, u]
-    if u != q:
-        values, diagonals, v = dict(values), set(t.diagonals), beyond[a, u]
-        while u != q:
-            w = beyond[v, u]
+    lo, hi = sorted((a, iv[-1]))
+    crossing = {(x, y) for x, y in t.diagonals if x < lo < y < hi or lo < x < hi < y}
+    if crossing:
+        values, diagonals = dict(values), set(t.diagonals)
+        for _, u, w, v in _fan_flips(_beyond(t), crossing, list(range(1, n + 1)), a):
             _flip(values, diagonals, n, m, u, w, v, a)
-            u, v = (w, v) if w in inside else (u, w)
         t = Triangulation._of_chords(n, diagonals)
     return t, values
 

@@ -169,7 +169,9 @@ def _fan_flips(beyond, own, piece, apex):
     faces whose ``_beyond`` map is given.  Flipping side (u, v) of face
     (apex, u, v) joins the apex to w for the face (u, w, v) beyond it: the
     counterclockwise quadrilateral (apex, u, w, v).  (u, w) and (w, v) then
-    lie opposite the apex, with the original faces beyond them."""
+    lie opposite the apex, with the original faces beyond them.  Callers:
+    ``_flip_quadrilaterals`` on each piece of a flip path, and
+    ``cactus._with_chord`` with ``own`` the diagonals crossing a chord."""
     i = piece.index(apex)
     u, last = piece[(i + 1) % len(piece)], piece[i - 1]
     sides = []

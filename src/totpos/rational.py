@@ -6,18 +6,17 @@ form, with the sign carried on the numerator.  They serialize as the string
 
 Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
 constructor coerces every entry through ``scalar`` (so it rejects floats);
-paths that already hold Fractions (inverses, flags the library derives)
+paths that already hold Fractions (the rows of flags the library derives)
 wrap them as they are with the internal ``Mat._of``.
 
-Determinants, solves and inverses run on Python ints.  Each row is
-cleared to integers once, as numerator * (lcm // denominator) with no
-Fraction arithmetic, and fraction-free Bareiss elimination (Math. Comp. 22,
-1968) keeps every intermediate entry a minor of the cleared matrix, so its
+Determinants and eliminations run on Python ints.  Each row is cleared to
+integers once, as numerator * (lcm // denominator) with no Fraction
+arithmetic, and fraction-free Bareiss elimination (Math. Comp. 22, 1968)
+keeps every intermediate entry a minor of the cleared matrix, so its
 divisions are exact and its entries polynomially bounded.  Fractions are
-formed only for the results.  No library path calls the cleared system
-solver ``_solve_cleared``: it serves only the public ``solve`` and
-``inverse``.  ``_project_out`` takes a row's projection on mutually
-orthogonal int rows, for the orthogonal flag and the rebuilt flag rows.
+formed only for the results.  ``_project_out`` takes a row's projection on
+mutually orthogonal int rows, for the orthogonal flag and the rebuilt flag
+rows.
 """
 
 from fractions import Fraction
@@ -206,60 +205,10 @@ def _det_cleared(rows, scale):
     return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
-def _solve_cleared(rows, n):
-    """Solve the integer system [A | B] (n rows, any number of right-hand
-    side columns); return (Y, p) with A^-1 B = Y / p entrywise, Y a list of
-    integer rows.
-
-    p is the last Bareiss pivot, +-det(A), so Y = p A^-1 B = +-adj(A) B is
-    integral and back substitution divides exactly.
-    """
-    _bareiss(rows, n)
-    p = rows[n - 1][n - 1]
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = [p * b for b in row[n:]]
-        for j in range(i + 1, n):
-            if row[j]:
-                acc = [a - row[j] * v for a, v in zip(acc, y[j])]
-        y[i] = [a // row[i] for a in acc]
-    return y, p
-
-
 def det(m):
     """Exact determinant by fraction-free Bareiss elimination."""
     if not m.is_square:
         raise ValueError("determinant of non-square %dx%d matrix" % (m.rows, m.cols))
     rows, scales = _integer_clearing(m.entries)
     return _det_cleared(rows, scales[-1])
-
-
-def solve(a, b):
-    """Solve a*x = b exactly; ``b`` is a sequence of scalars.
-
-    Raises SingularMatrixError (with the vanishing pivot stage) when ``a``
-    is singular.
-    """
-    if not a.is_square:
-        raise ValueError("solve needs a square matrix")
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length %d != %d" % (len(b), a.rows))
-    rows, _ = _integer_clearing([row + (scalar(x),) for row, x in zip(a.entries, b)])
-    y, p = _solve_cleared(rows, a.rows)
-    return tuple(Fraction(yi[0], p) for yi in y)
-
-
-def inverse(a):
-    """Exact inverse by one elimination on [D a | D], where D holds the
-    row-clearing scales, so that (D a)^-1 D = a^-1."""
-    if not a.is_square:
-        raise ValueError("inverse of non-square %dx%d matrix" % (a.rows, a.cols))
-    n = a.rows
-    rows = []
-    for i, row in enumerate(a.entries):
-        ints, d = _clear_row(row)
-        rows.append(ints + [d if j == i else 0 for j in range(n)])
-    y, p = _solve_cleared(rows, n)
-    return Mat._of(tuple(tuple(Fraction(v, p) for v in yi) for yi in y))
 

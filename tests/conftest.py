@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import totpos
 from totpos.rational import (Mat, scalar, SingularMatrixError, _bareiss, _clear_ratio,
-                             _prefix_scales, _solve_cleared)
+                             _clear_row, _integer_clearing, _prefix_scales)
 from totpos.flags import DecoratedFlag, Configuration, admissible_indices
 from totpos.polygon import Triangulation, ChartPoint, index_at
 from totpos.mutation import _run_program
@@ -27,6 +27,53 @@ def det_oracle(m):
                      for row in m.entries[1:]])
         total += (-1) ** j * m.entries[0][j] * det_oracle(minor)
     return total
+
+
+def _solve_cleared(rows, n):
+    """Solve the integer system [A | B] (n rows, any number of right-hand
+    side columns); return (Y, p) with A^-1 B = Y / p entrywise, Y a list of
+    integer rows.  The library solves no square system; the oracles here do.
+
+    p is the last Bareiss pivot, +-det(A), so Y = p A^-1 B = +-adj(A) B is
+    integral and back substitution divides exactly.  Raises
+    SingularMatrixError (with the vanishing pivot stage) when A is singular.
+    """
+    _bareiss(rows, n)
+    p = rows[n - 1][n - 1]
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = [p * b for b in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * v for a, v in zip(acc, y[j])]
+        y[i] = [a // row[i] for a in acc]
+    return y, p
+
+
+def solve(a, b):
+    """Solve a*x = b exactly; ``b`` is a sequence of scalars."""
+    if not a.is_square:
+        raise ValueError("solve needs a square matrix")
+    if len(b) != a.rows:
+        raise ValueError("right-hand side length %d != %d" % (len(b), a.rows))
+    rows, _ = _integer_clearing([row + (scalar(x),) for row, x in zip(a.entries, b)])
+    y, p = _solve_cleared(rows, a.rows)
+    return tuple(Fraction(yi[0], p) for yi in y)
+
+
+def inverse(a):
+    """Exact inverse by one elimination on [D a | D], where D holds the
+    row-clearing scales, so that (D a)^-1 D = a^-1."""
+    if not a.is_square:
+        raise ValueError("inverse of non-square %dx%d matrix" % (a.rows, a.cols))
+    n = a.rows
+    rows = []
+    for i, row in enumerate(a.entries):
+        ints, d = _clear_row(row)
+        rows.append(ints + [d if j == i else 0 for j in range(n)])
+    y, p = _solve_cleared(rows, n)
+    return Mat([[Fraction(v, p) for v in yi] for yi in y])
 
 
 def cofactor_ints(int_rows):

@@ -7,7 +7,7 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices, chords_cro
                             cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
-                           verify_relations, _reversal_program)
+                           verify_relations, _reversal_program, _with_chord)
 from totpos.mutation import transport, _run_program
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
@@ -318,6 +318,35 @@ def test_chord_insertion_flips_each_crossing_diagonal_once(monkeypatch, n, diago
         act_generator(point, IntervalGen(p, q))
         assert len(calls) == flips == sum(chords_cross(d, (p, q), t.n)
                                           for d in t.diagonals)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(4, 12).flatmap(lambda n: st.tuples(triangulations(n), st.integers(1, n),
+                                                      st.integers(1, n - 1))),
+       st.integers(2, 3), st.integers(0, 10 ** 6))
+def test_chord_insertion_is_a_transport_to_a_triangulation_with_the_chord(case, m, seed):
+    """The chord goes in by one flip per crossing diagonal, keeps every
+    diagonal that does not cross it, and lands on the values that a
+    transport along the flip path to the same triangulation gives."""
+    t, p, step = case
+    n = t.n
+    q = (p + step - 1) % n + 1
+    point = random_chart_point(t, m, seed)
+    calls = []
+    real = mutation._flip
+
+    def counted(*args):
+        calls.append(args[4:])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cactus_module, "_flip", counted)
+        t_out, values = _with_chord(point, IntervalGen(p, q).interval(n))
+    lo, hi = sorted((p, q))
+    assert (lo, hi) in t_out.diagonals or hi - lo in (1, n - 1)
+    assert {d for d in t.diagonals if not chords_cross(d, (p, q), n)} <= t_out.diagonals
+    assert len(calls) == sum(chords_cross(d, (p, q), n) for d in t.diagonals)
+    assert values == transport(point, t_out).values
 
 
 def _count_conversions(monkeypatch):

@@ -149,8 +149,6 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
         raise AssertionError("checked flag constructor or elimination")
 
     monkeypatch.setattr(DecoratedFlag, "__init__", refuse)
-    monkeypatch.setattr(rational, "_solve_cleared", refuse)
-    monkeypatch.setattr(flags, "_solve_cleared", refuse, raising=False)
     for m, c in points.items():
         assert reverse(reverse(c)).same_point(c)
         assert theta(theta(c)).same_point(c)

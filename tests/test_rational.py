@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totpos.rational import (Mat, det, solve, inverse, scalar, scalar_str,
-                             SingularMatrixError, _clear_ratio, _clear_row,
-                             _integer_clearing)
+from totpos.rational import (Mat, det, scalar, scalar_str, SingularMatrixError,
+                             _clear_ratio, _clear_row, _integer_clearing)
 
 from conftest import (add_multiple_of_row, cofactor_ints, det_oracle, identity,
-                      mat_mul, transpose)
+                      inverse, mat_mul, solve, transpose)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
