@@ -4,7 +4,7 @@ a cactus-group action with its verification harness."""
 
 from .rational import Mat, det, SingularMatrixError
 from .flags import (DecoratedFlag, Configuration, admissible_indices,
-                    sign_normalize, rotate, face, iota, theta)
+                    rotate, face, iota, theta)
 from .polygon import Triangulation, ChartPoint, chart_indices, chart_dimension, glue_check
 from .mutation import flip_transport, transport
 from .reconstruct import flags_to_charts, charts_to_flags, random_positive
@@ -14,7 +14,7 @@ from .axioms import check_axiom, check_glue
 __all__ = [
     "Mat", "det", "SingularMatrixError",
     "DecoratedFlag", "Configuration", "admissible_indices",
-    "sign_normalize", "rotate", "face", "iota", "theta",
+    "rotate", "face", "iota", "theta",
     "Triangulation", "ChartPoint", "chart_indices", "chart_dimension", "glue_check",
     "flip_transport", "transport",
     "flags_to_charts", "charts_to_flags", "random_positive",

@@ -12,7 +12,7 @@ double reversal in the commuting-square identity reflects the square
 across its own diagonal with orthogonal flags.
 """
 
-from .flags import Configuration, relabel, reverse, rotate, rotate_inv, face, iota, theta
+from .flags import Configuration, _shifted, reverse, rotate, rotate_inv, face, iota, theta
 from .polygon import Triangulation, ChartPoint, chart_indices, glue_check
 from .mutation import flip_transport
 from .reconstruct import (flags_to_charts, charts_to_flags,
@@ -20,8 +20,9 @@ from .reconstruct import (flags_to_charts, charts_to_flags,
 
 HALF_TURN = (3, 4, 1, 2)
 QUARTER_TURN = (2, 3, 4, 1)
-# reflection fixing the chart's own diagonal, keyed by that diagonal
-DIAGONAL_REFLECTIONS = {(1, 3): (1, 4, 3, 2), (2, 4): (3, 2, 1, 4)}
+# the reflection fixing the chart's own diagonal is the full reversal read
+# cyclically from this 0-based position, keyed by that diagonal
+DIAGONAL_SHIFTS = {(1, 3): 3, (2, 4): 1}
 PENTAGON_FLIPS = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
 
 SQUARE = Triangulation(4, [(1, 3)])
@@ -49,10 +50,10 @@ def relabel_chart(p, perm):
 
 def double_reversal(p):
     """Reflect a square chart point across its own diagonal, with
-    orthogonal flags and one shared sign normalization."""
+    orthogonal flags: the reversal read cyclically so that the diagonal's
+    ends keep their places, in the sign _shifted gives."""
     d = tuple(sorted(next(iter(p.triangulation.diagonals))))
-    perm = DIAGONAL_REFLECTIONS[d]
-    flipped = reverse(relabel(charts_to_flags(p), perm[::-1]))
+    flipped = _shifted(reverse(charts_to_flags(p)).flags, DIAGONAL_SHIFTS[d])
     return flags_to_charts(flipped, p.triangulation)
 
 

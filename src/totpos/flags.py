@@ -20,7 +20,9 @@ is built from the orthogonal flag J F^{-T} J of a representative F, where J
 is the antidiagonal matrix of ones; this one closed form serves every m.
 Its rows come straight from F's held int rows, made mutually orthogonal
 within the coset (every flag the library makes has such rows already), so
-it takes no elimination.
+it takes no elimination.  The reversal keeps configurations positive, so
+the signs these maps need depend only on (n, m): reverse needs none, and
+rotate, rotate_inv and face take theirs in closed form from _shifted.
 
 A flag is held as its integer clearing only; its Fraction rows are formed
 when ``rep`` is read.  Every derived flag is wrapped unchecked on its own
@@ -47,16 +49,6 @@ class NotGenericError(FlagError):
     def __init__(self, index):
         self.index = tuple(index)
         super().__init__("vanishing coordinate at multi-index %s" % (self.index,))
-
-
-class SignNormalizeError(FlagError):
-    """No decoration sign pattern reaches the all-positive chamber."""
-
-    def __init__(self, index):
-        self.index = tuple(index)
-        super().__init__(
-            "no sign pattern makes all coordinates positive; "
-            "witness multi-index %s" % (self.index,))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +199,7 @@ class Configuration:
 
     A configuration is immutable, so each coordinate is computed once:
     _delta keeps a memo from multi-index to value, which all_deltas,
-    same_point, sign_normalize and every later reader share.  The memo
+    same_point, face's check and every later reader share.  The memo
     belongs to this object only; configurations built from it start with
     their own.  delta is the checked entry point for indices from outside;
     the library's own readers, whose indices come from admissible_indices or
@@ -308,112 +300,71 @@ class Configuration:
         return c
 
 
-def sign_normalize(c):
-    """Flip decoration signs per flag and level to reach the positive chamber.
+def _shifted(flags, k):
+    """The configuration of ``flags`` read cyclically from 0-based position k.
 
-    Solves, over GF(2), for sign flips of each flag's decorations making
-    every coordinate positive.  Free choices are resolved by not flipping.
-    There are m - 1 of them for n = 2; for n >= 3 there is exactly one at
-    even m (level 1 of flag 1) and none at odd m.  Raises
-    SignNormalizeError with a witness multi-index when no pattern works,
-    and NotGenericError on a vanishing coordinate.
+    Moving the i rows that the flags before k give a coordinate past its
+    other m - i rows multiplies it by (-1)^(i (m - i)): 1 at odd m, (-1)^i
+    at even m.  So at even m every row of each flag that wraps round is
+    negated, which undoes that and keeps the flag's det, as (-1)^m = 1.
     """
-    m, n = c.m, c.n
-    nvars = n * (m - 1)
-    pivots = {}  # pivot bit -> (mask, rhs)
-    for idx in admissible_indices(n, m):
-        v = c._delta(idx)
-        if v == 0:
-            raise NotGenericError(idx)
-        mask = 0
-        for k, i in enumerate(idx):
-            if 1 <= i <= m - 1:
-                mask |= 1 << (k * (m - 1) + (i - 1))
-        rhs = 1 if v < 0 else 0
-        for b, (pm, pr) in pivots.items():
-            if mask >> b & 1:
-                mask ^= pm
-                rhs ^= pr
-        if mask == 0:
-            if rhs:
-                raise SignNormalizeError(idx)
-            continue
-        b = mask.bit_length() - 1
-        # keep earlier pivot rows fully reduced (Gauss-Jordan)
-        for pb in list(pivots):
-            pm, pr = pivots[pb]
-            if pm >> b & 1:
-                pivots[pb] = (pm ^ mask, pr ^ rhs)
-        pivots[b] = (mask, rhs)
-    x = [0] * nvars
-    for b, (_, rhs) in pivots.items():
-        x[b] = rhs
-    if not any(x):
-        return c
-    flags = []
-    for k, f in enumerate(c.flags):
-        s = [1] + [(-1) ** x[k * (m - 1) + i] for i in range(m - 1)] + [1]
-        factors = [s[i] * s[i - 1] for i in range(1, m + 1)]
-        if all(f == 1 for f in factors):
-            flags.append(f)
-        else:
-            flags.append(f.scale_rows(factors))
-    return Configuration(flags)
-
-
-def relabel(c, perm):
-    """New configuration whose flag at position i is the old flag perm[i].
-
-    ``perm`` is 1-based: a tuple of length n with values in 1..n.
-    """
-    return Configuration([c.flags[p - 1] for p in perm])
+    flags = tuple(flags)
+    m = flags[0].m
+    wrapped = flags[:k] if m % 2 else [f.scale_rows([-1] * m) for f in flags[:k]]
+    return Configuration((*flags[k:], *wrapped))
 
 
 def rotate(c):
     """Cyclic shift of a triangle; three applications give the identity."""
     if c.n != 3:
         raise FlagError("rotate needs a triangle configuration")
-    return sign_normalize(relabel(c, (3, 1, 2)))
+    return _shifted(c.flags, 2)
 
 
 def rotate_inv(c):
     if c.n != 3:
         raise FlagError("rotate needs a triangle configuration")
-    return sign_normalize(relabel(c, (2, 3, 1)))
+    return _shifted(c.flags, 1)
 
 
 def face(c, i):
     """The edge configuration obtained by forgetting flag i of a triangle.
 
     The remaining pair is kept in cyclic order starting after i, so that
-    face(rotate(c), i) = face(c, i-1 mod 3).  The pair is sign-normalized;
-    a vanishing coordinate raises NotGenericError.
+    face(rotate(c), i) = face(c, i-1 mod 3): from vertex order, a shift by
+    1 when i = 2.  On input that is not positive it is the same map, with
+    no sign chosen from the input; only a vanishing coordinate of the pair,
+    read into the memo of the pair returned, raises NotGenericError.
     """
     if c.n != 3:
         raise FlagError("face needs a triangle configuration")
     if i not in (1, 2, 3):
         raise FlagError("face index must be 1, 2 or 3")
-    a = i % 3 + 1
-    b = a % 3 + 1
-    return sign_normalize(Configuration([c.flags[a - 1], c.flags[b - 1]]))
+    out = _shifted((f for v, f in enumerate(c.flags, 1) if v != i), 1 if i == 2 else 0)
+    for idx in admissible_indices(2, c.m):
+        if not out._delta(idx):
+            raise NotGenericError(idx)
+    return out
 
 
 def reverse(c):
-    """The full reversal of a configuration: the orthogonal flags in reversed
-    order, sign-normalized.  Raises SignNormalizeError when no sign pattern
-    reaches the positive chamber."""
-    return sign_normalize(Configuration([f.orthogonal() for f in reversed(c.flags)]))
+    """The full reversal: the orthogonal flags in reversed order.  It keeps a
+    configuration positive; on input that is not positive it is the same
+    map, with no sign change and no check."""
+    return Configuration([f.orthogonal() for f in reversed(c.flags)])
 
 
 def iota(c):
-    """The involution of edge configurations: swap and take orthogonals."""
+    """The involution of edge configurations: swap and take orthogonals
+    (reverse, so with no sign change and no check on any input)."""
     if c.n != 2:
         raise FlagError("iota needs an edge configuration")
     return reverse(c)
 
 
 def theta(c):
-    """The reversal involution of triangle configurations."""
+    """The reversal involution of triangle configurations (reverse, so with
+    no sign change and no check on any input)."""
     if c.n != 3:
         raise FlagError("theta needs a triangle configuration")
     return reverse(c)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import totpos
 from totpos.rational import (Mat, scalar, SingularMatrixError, _bareiss, _clear_ratio,
                              _clear_row, _integer_clearing, _prefix_scales)
-from totpos.flags import DecoratedFlag, Configuration, admissible_indices
+from totpos.flags import (DecoratedFlag, Configuration, FlagError, NotGenericError,
+                          admissible_indices, _shifted, face, reverse, rotate, rotate_inv)
+from totpos.axioms import DIAGONAL_SHIFTS
 from totpos.polygon import Triangulation, ChartPoint, index_at
 from totpos.mutation import _run_program
 from totpos.cactus import _reversal_program, _with_chord
@@ -114,6 +116,106 @@ def orthogonal_reference(flag):
     rows[-1] = [x * d.numerator for x in rows[-1]]
     dens = [p] * (m - 1) + [p * d.denominator]
     return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), 1)
+
+
+class SignNormalizeError(FlagError):
+    """No decoration sign pattern reaches the all-positive chamber."""
+
+    def __init__(self, index):
+        self.index = tuple(index)
+        super().__init__(
+            "no sign pattern makes all coordinates positive; "
+            "witness multi-index %s" % (self.index,))
+
+
+def sign_normalize(c):
+    """Flip decoration signs per flag and level to reach the positive chamber:
+    the GF(2) search the library no longer runs, kept as the oracle for the
+    closed-form signs of flags._shifted and flags.reverse.
+
+    Solves, over GF(2), for sign flips of each flag's decorations making
+    every coordinate positive.  Free choices are resolved by not flipping.
+    There are m - 1 of them for n = 2; for n >= 3 there is exactly one at
+    even m (level 1 of flag 1) and none at odd m.  Raises
+    SignNormalizeError with a witness multi-index when no pattern works,
+    and NotGenericError on a vanishing coordinate.
+    """
+    m, n = c.m, c.n
+    nvars = n * (m - 1)
+    pivots = {}  # pivot bit -> (mask, rhs)
+    for idx in admissible_indices(n, m):
+        v = c._delta(idx)
+        if v == 0:
+            raise NotGenericError(idx)
+        mask = 0
+        for k, i in enumerate(idx):
+            if 1 <= i <= m - 1:
+                mask |= 1 << (k * (m - 1) + (i - 1))
+        rhs = 1 if v < 0 else 0
+        for b, (pm, pr) in pivots.items():
+            if mask >> b & 1:
+                mask ^= pm
+                rhs ^= pr
+        if mask == 0:
+            if rhs:
+                raise SignNormalizeError(idx)
+            continue
+        b = mask.bit_length() - 1
+        # keep earlier pivot rows fully reduced (Gauss-Jordan)
+        for pb in list(pivots):
+            pm, pr = pivots[pb]
+            if pm >> b & 1:
+                pivots[pb] = (pm ^ mask, pr ^ rhs)
+        pivots[b] = (mask, rhs)
+    x = [0] * nvars
+    for b, (_, rhs) in pivots.items():
+        x[b] = rhs
+    if not any(x):
+        return c
+    flags = []
+    for k, f in enumerate(c.flags):
+        s = [1] + [(-1) ** x[k * (m - 1) + i] for i in range(m - 1)] + [1]
+        factors = [s[i] * s[i - 1] for i in range(1, m + 1)]
+        if all(f == 1 for f in factors):
+            flags.append(f)
+        else:
+            flags.append(f.scale_rows(factors))
+    return Configuration(flags)
+
+
+def relabel(c, perm):
+    """New configuration whose flag at position i is the old flag perm[i],
+    with no sign change: the raw input of the sign_normalize oracle.
+
+    ``perm`` is 1-based, with values in 1..n; a shorter one selects flags.
+    """
+    return Configuration([c.flags[p - 1] for p in perm])
+
+
+def clearings(c):
+    """Each flag's held int rows, prefix row scales and det."""
+    return [(f._ints, f._scales, f._det) for f in c.flags]
+
+
+def reversal_sign_cases(c):
+    """(map, output, oracle) for each reversal-layer map that takes c: the
+    oracle is sign_normalize on the raw relabel, the same flags with no
+    sign change.  The double reversal's flags are the full reversal read
+    cyclically as axioms.double_reversal reads it, with its oracle on the
+    reflection fixing the square's diagonal."""
+    orth = Configuration([f.orthogonal() for f in c.flags])
+    cases = [("reverse", reverse(c), sign_normalize(relabel(orth, range(c.n, 0, -1))))]
+    if c.n == 3:
+        cases += [("rotate", rotate(c), sign_normalize(relabel(c, (3, 1, 2)))),
+                  ("rotate_inv", rotate_inv(c), sign_normalize(relabel(c, (2, 3, 1))))]
+        cases += [("face %d" % i, face(c, i), sign_normalize(relabel(c, pair)))
+                  for i, pair in ((1, (2, 3)), (2, (3, 1)), (3, (1, 2)))]
+    if c.n == 4:
+        for d, reflection in (((1, 3), (1, 4, 3, 2)), ((2, 4), (3, 2, 1, 4))):
+            cases.append(("double_reversal %s" % (d,),
+                          _shifted(reverse(c).flags, DIAGONAL_SHIFTS[d]),
+                          sign_normalize(relabel(orth, reflection))))
+    return cases
 
 
 def act_on_chart_reference(p, g):

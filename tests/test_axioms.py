@@ -1,10 +1,11 @@
 import pytest
 
-from totpos.flags import sign_normalize, relabel
 from totpos.mutation import flip_transport
 from totpos.axioms import (check_axiom, check_glue, relabel_chart,
                            double_reversal, HALF_TURN, QUARTER_TURN, SQUARE)
 from totpos.reconstruct import flags_to_charts, charts_to_flags, random_chart_point
+
+from conftest import relabel, sign_normalize
 
 
 @pytest.mark.parametrize("m", [2, 3])

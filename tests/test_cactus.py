@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from totpos.flags import (theta, iota, face, Configuration, sign_normalize, relabel,
-                          admissible_indices)
+from totpos.flags import theta, iota, face, Configuration, admissible_indices
 from totpos.polygon import (Triangulation, ChartPoint, chart_indices, chords_cross,
                             cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
@@ -15,7 +14,7 @@ import totpos.cactus as cactus_module
 import totpos.mutation as mutation
 import totpos.rational as rational
 
-from conftest import act_on_chart_reference, triangulations
+from conftest import act_on_chart_reference, relabel, sign_normalize, triangulations
 
 
 def _adapted_triangulation(n, iv):

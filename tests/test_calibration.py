@@ -15,11 +15,11 @@ the first passer in a fixed candidate order.
 
 from itertools import product
 
-from totpos.flags import Configuration, DecoratedFlag, sign_normalize, FlagError
+from totpos.flags import Configuration, DecoratedFlag, FlagError
 from totpos.rational import Mat, det
 from totpos.reconstruct import random_positive
 
-from conftest import inverse, mat_mul, scale_row, transpose
+from conftest import inverse, mat_mul, scale_row, sign_normalize, transpose
 
 CALIBRATION_SEED = 20260825
 TRIALS = 8

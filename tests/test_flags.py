@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from totpos import flags, rational
 from totpos.rational import Mat, det, _integer_clearing
 from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
-                          check_index, sign_normalize, relabel, rotate,
-                          rotate_inv, face, iota, theta, reverse, FlagError,
-                          NotGenericError, SignNormalizeError)
+                          check_index, rotate, rotate_inv, face, iota, theta,
+                          reverse, FlagError, NotGenericError)
 from totpos.polygon import Triangulation, ChartPoint, index_at
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 from totpos.cactus import IntervalGen, act_word
 
-from conftest import (add_multiple_of_row, det_oracle, mat_mul, orthogonal_reference,
-                      random_triangulation, scale_row, transpose)
+from conftest import (SignNormalizeError, add_multiple_of_row, clearings, det_oracle,
+                      mat_mul, orthogonal_reference, random_triangulation, relabel,
+                      reversal_sign_cases, scale_row, sign_normalize, transpose)
 from test_calibration import antidiagonal, closed_form_convention, perp_with
 
 
@@ -271,6 +271,44 @@ def test_sign_normalize_failure_carries_witness():
     else:
         # a swapped pair can happen to be normalizable; then it is positive
         assert out.is_positive()
+
+
+def test_reversal_maps_change_no_sign_off_the_positive_chamber():
+    # the row-negated configuration above reverses to its orthogonal flags
+    # in reversed order exactly, and the swapped-flag input above, which no
+    # sign pattern makes positive, reverses without raising
+    c = random_positive(4, 3, 9)
+    flipped = Configuration([
+        c.flags[0].scale_rows([-1, -1, 1]),
+        c.flags[1],
+        c.flags[2].scale_rows([1, -1, -1]),
+        c.flags[3].scale_rows([-1, 1, 1]),
+    ])
+    c = random_positive(4, 2, 9)
+    bad = Configuration([
+        c.flags[0],
+        DecoratedFlag(c.flags[2].rep),
+        DecoratedFlag(c.flags[1].rep),
+        c.flags[3],
+    ])
+    with pytest.raises(SignNormalizeError):
+        sign_normalize(bad)
+    for source in (flipped, bad):
+        raw = Configuration([f.orthogonal() for f in reversed(source.flags)])
+        assert not raw.is_positive()
+        assert clearings(reverse(source)) == clearings(raw)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(2, 6), st.integers(2, 7), st.integers(0, 10 ** 6))
+def test_closed_form_signs_match_the_sign_search(n, m, seed):
+    # the reversal keeps a positive configuration positive, so each map's
+    # sign depends on (n, m) alone: the one the GF(2) search finds
+    c = random_positive(max(n, 3), m, seed)
+    if n == 2:
+        c = Configuration(c.flags[:2])
+    for name, out, oracle in reversal_sign_cases(c):
+        assert clearings(out) == clearings(oracle), name
 
 
 def test_theta_involution_and_positivity():
