@@ -12,8 +12,9 @@ triangulation T:
    crossing diagonal in the order of ``polygon._fan_flips`` toward p, on
    one copy of the values and one diagonal set;
 2. fill the chart on T's diagonals with an end outside the interval and the
-   mirror images of T's diagonals inside, face by face, in three parts:
-   - values supported outside the interval carry over as they are;
+   mirror images of T's diagonals inside, face by face, carrying the faces
+   through to its triangulation, in three parts:
+   - values and faces supported outside the interval carry over as they are;
    - each face inside, its vertices (u1, u2, u3) in interval order, is
      reversed by ``_reversal_program``, run by ``mutation._run_program``, on
      its values read under keys rewritten in one list, and moved to its
@@ -21,7 +22,8 @@ triangulation T:
      (i, j, k) to (k, i, j), and an edge value as it is, weight m - i at the
      mirror of a vertex of weight i;
    - the inside faces' keys leave a copy of the values before any image
-     key comes in, since inside faces share edges.
+     key comes in, since inside faces share edges; their images, sorted,
+     join the faces kept.
 
 The exchange program of one m is a sequence of C(m, 3) mutations of the
 Fock-Goncharov quiver of a triangle, the octahedron-recurrence form of the
@@ -166,17 +168,11 @@ def _with_chord(p, iv):
 
 
 def _act_on_chart(p, g):
-    """The generator on a chart point.  Its triangulation T gains the chord
-    {p, q} by flips if it lacks it; the result lies on T's diagonals with an
-    end outside the interval and the mirror images of T's diagonals inside.
-
-    Values supported outside the interval carry over as they are.  Each face
-    of T inside, its vertices (u1, u2, u3) in interval order, goes to its
-    mirror image (w1, w2, w3) = (mirror(u3), mirror(u2), mirror(u1)), its
-    values reversed by ``_reversal_program``: interior weight (i, j, k) of
-    the face is weight (k, i, j) of the image, and an edge weight, one of
-    them 0, is (k and m - k, j and m - j, i and m - i), the relabel that
-    puts weight m - i at the mirror of a vertex of weight i.
+    """The generator on a chart point, in the steps of the module docstring.
+    The mirror keeps distances within the interval, so it takes diagonals
+    to diagonals, and the faces walked are the result's, in ascending order
+    once sorted.  An edge weight of a face inside, one of them 0, goes to
+    (k and m - k, j and m - j, i and m - i) at its image (w1, w2, w3).
     """
     n, m = p.triangulation.n, p.m
     iv = g.interval(n)
@@ -184,11 +180,12 @@ def _act_on_chart(p, g):
     order = {v: s for s, v in enumerate(iv)}
     # all old keys go before any image key comes in, since faces share edges
     pts, steps = admissible_indices(3, m), _reversal_program(m)
-    old, new = [], []
+    old, new, faces = [], [], []
     for f in t.triangles():
         if all(v in order for v in f):
             u1, u2, u3 = sorted(f, key=order.get)
             w1, w2, w3 = (g.mirror(v, n) - 1 for v in (u3, u2, u1))
+            faces.append(tuple(sorted((w1 + 1, w2 + 1, w3 + 1))))
             # one list, rewritten for each weight, as in ``chart_indices``
             idx = [0] * n
             keys = [tuple(idx) for idx[u1 - 1], idx[u2 - 1], idx[u3 - 1] in pts]
@@ -202,13 +199,15 @@ def _act_on_chart(p, g):
                     idx[w1], idx[w2], idx[w3] = k and m - k, j and m - j, i and m - i
                 new.append((tuple(idx), value))
             old += keys
+        else:
+            faces.append(f)
     out = dict(values)
     for key in old:
         out.pop(key, None)
     out.update(new)
-    chords = [d if any(v not in order for v in d) else [g.mirror(v, n) for v in d]
-              for d in t.diagonals]
-    return ChartPoint._of(Triangulation._of_chords(n, chords), m, out)
+    diagonals = frozenset(d if any(v not in order for v in d)
+                          else tuple(sorted(g.mirror(v, n) for v in d)) for d in t.diagonals)
+    return ChartPoint._of(Triangulation._of(n, diagonals, sorted(faces)), m, out)
 
 
 def act_generator(x, g):

@@ -6,19 +6,20 @@ values on the fan at vertex 1, transporting a point on any other
 triangulation there first.  The first two flags are pinned explicitly
 (standard flag and a scaled antidiagonal flag matched to the {1, 2} edge
 values), and flag v = 3..n is solved row by row from the chart values of
-the fan triangle (1, v-1, v).  A row's conditions are dot products with
-cofactor vectors read off one elimination, each with one more leading zero
-than the last and a nonzero pivot, so back substitution meets them; taking
-out the projection on the flag's earlier rows, which are mutually
+the fan triangle (1, v-1, v), under the keys and cofactor signs of a plan
+built once per (n, m).  A row's conditions are dot products with cofactor
+vectors read straight off one elimination, each with one more leading
+zero than the last and a nonzero pivot, so back substitution meets them;
+taking out the projection on the flag's earlier rows, which are mutually
 orthogonal, makes the row orthogonal to them.  Each flag's last row is e_1
 less its projection on the other rows, over the chart value with weights
 (1, m-1) on the edge {1, v}: det 1 with no elimination.  Each row is
-cleared with one gcd; each flag is held as that clearing; reading ``rep``
-forms Fractions.
+cleared with one gcd, and each flag is held as that clearing.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .rational import (scalar_str, _bareiss, _clear_ratio, _integer_clearing,
                        _project_out)
@@ -58,31 +59,31 @@ def charts_to_flags(p):
     returns p value for value.  The point is read on the fan at vertex 1,
     so the representatives depend only on the point, and every chart of
     one point rebuilds the same flags.  The configuration keeps that fan
-    chart point as ``_fan``, for ``cactus.act_word`` to act on.
+    chart point as ``_fan``, for ``cactus.act_word`` to act on: p itself
+    when it lies on the fan already.
     """
     n, m = p.triangulation.n, p.m
-    fan = transport(p, Triangulation.fan(n))
-    values = fan.values
+    fan = Triangulation.fan(n)
+    p = p if p.triangulation == fan else transport(p, fan)
+    values = p.values
 
     # vertex 1: the standard flag
     standard = [[int(j == i) for j in range(m)] for i in range(m)]
     flags = [DecoratedFlag._of(standard, [1] * (m + 1), 1)]
 
     # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
-    rows = []
-    prod = Fraction(1)
+    rows, prod = [], Fraction(1)
     for j in range(1, m):
         target = (-1) ** (j * (j - 1) // 2) * values[index_at(n, (1, 2), (m - j, j))]
-        lam = target / prod
-        prod = target
+        lam, prod = target / prod, target
         rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
     known = _integer_clearing(rows)
     flags.append(_completed(known, values[index_at(n, (1, 2), (1, m - 1))]))
-    for v in range(3, n + 1):
-        known = _solve_flag(values, n, v, known, m)
+    for v, plan in enumerate(_rebuild_plan(n, m), 3):
+        known = _solve_flag(values, plan, known, m)
         flags.append(_completed(known, values[index_at(n, (1, v), (1, m - 1))]))
     c = Configuration(flags)
-    c._fan = fan
+    c._fan = p
     return c
 
 
@@ -104,41 +105,46 @@ def _completed(known, delta):
     return DecoratedFlag._of(ints + [r], scales + [scales[-1] * s], 1)
 
 
-def _solve_flag(values, n, v, prev, m):
-    """The integer clearing (int rows, prefix scales) of the first m - 1
-    rows of flag v, from the fan chart ``values`` on the triangle (1, v-1, v).
+@lru_cache(maxsize=None)
+def _rebuild_plan(n, m):
+    """For flag v = 3..n and row k = 1..m-1, the row's m - k + 1 conditions
+    in back-substitution order, i = m-k down to 0, as (i, j = m - k - i,
+    the fan chart key of weights (i, j, k) at (1, v-1, v), the sign s_i)."""
+    return tuple(tuple(tuple((i, m - k - i, index_at(n, (1, v - 1, v), (i, m - k - i, k)),
+                              (-1) ** ((k - 1) * (m - k - i) + (m - i) * (m - i - 1) // 2))
+                             for i in range(m - k, -1, -1)) for k in range(1, m))
+                 for v in range(3, n + 1))
 
-    ``prev`` is the integer clearing (int rows, prefix scales) of flag
-    v - 1; flag 1 is standard, with scales 1.  The chart values with weight
-    k at v give m - k + 1 linear conditions x . C_i = r_i, i = 0..m-k, on
-    row k, with the cofactor vectors C_i all read off one
-    ``_nested_cofactors``.  C_i has i leading zeros and a nonzero pivot
-    C_i[i], a positive chart value of the triangle or its edges at 1 times
-    row scales, so back substitution on columns 0..m-k solves them.  Each
-    C_i has a zero dot product with the k - 1 earlier rows of flag v, so
-    subtracting the solution's orthogonal projection on those rows, which
-    are mutually orthogonal, keeps the conditions: the result is the unique
-    solution orthogonal to the earlier rows, the coset representative.
+
+def _solve_flag(values, plan, prev, m):
+    """The integer clearing (int rows, prefix scales) of the first m - 1
+    rows of flag v, from the fan chart ``values`` under the keys of its
+    ``_rebuild_plan`` and the integer clearing ``prev`` of flag v - 1.
+
+    Row k meets m - k + 1 conditions x . C_i = r_i, i = 0..m-k, on the
+    cofactor vectors of one ``_nested_cofactors``.  C_i has i leading zeros
+    and a nonzero pivot C_i[i], a chart value times row scales, so back
+    substitution on columns 0..m-k solves them.  Each C_i is orthogonal to
+    the k - 1 earlier rows of flag v, which are mutually orthogonal, so
+    taking out the solution's projection on them keeps the conditions and
+    gives the coset representative.
     """
     ints, scales = [], [1]
-    for k in range(1, m):
-        nums, den = [0] * m, 1
-        for i, cof in reversed(list(enumerate(_nested_cofactors(ints, prev[0], m)))):
-            j = m - k - i
-            # stacked in ascending vertex order, the unknown row x is last,
-            # and the determinant is x . C / scale for the integer cofactor
-            # vector C; equal to the chart value a / b, it gives
-            # x . (b C) = a scale.  With x = nums / den known past column i
-            # (zero past m - k), this fixes x_i over the denominator den b C[i]
-            value = values[index_at(n, (1, v - 1, v), (i, j, k))]
-            b = value.denominator
-            p = b * cof[i]
+    for k, conditions in enumerate(plan, 1):
+        aug = _nested_cofactors(ints, prev[0], m)
+        nums, den = [], 1
+        for i, j, key, sign in conditions:
+            # det[stack; x] = x . C / scale is the chart value a / b, so x . (b C)
+            # = a scale: with nums / den the x_c for c = i+1..m-k, it fixes x_i
+            row = aug[m - 1 - i]
+            value = values[key]
+            b = sign * value.denominator
+            p = b * row[m - 1 + i]
             acc = (value.numerator * prev[1][j] * scales[-1] * den
-                   - b * sum(c * x for c, x in zip(cof[i + 1:], nums[i + 1:])))
-            nums = [x * p for x in nums]
-            nums[i] = acc
+                   - b * sum(c * x for c, x in zip(row[m + i:], nums)))
+            nums = [acc] + [x * p for x in nums]
             den *= p
-        nums, d = _project_out(nums, ints)
+        nums, d = _project_out(nums + [0] * (k - 1), ints)
         r, s = _clear_ratio(nums, den * d)
         ints.append(r)
         scales.append(scales[-1] * s)
@@ -146,27 +152,22 @@ def _solve_flag(values, n, v, prev, m):
 
 
 def _nested_cofactors(ints, prev, m):
-    """Yield for i = 0..m-k the integer cofactor vector C_i of the stack
-    R = e_1..e_i + prev[:m-k-i] + ints, with det(R + [x]) = x . C_i for
-    all x, from the k - 1 int rows ``ints`` of flag v and those of flag v - 1.
+    """One elimination whose row m - 1 - i holds s_i C_i at entries m - 1 + c,
+    zero at c < i, for i = 0..m-k: C_i the integer cofactor vector of the
+    stack R = e_1..e_i + prev[:m-k-i] + ints, det(R + [x]) = x . C_i, from
+    the k - 1 int rows ``ints`` of flag v and the int rows of flag v - 1.
 
-    Past e_1..e_i, the determinant is a minor on the trailing q = m - i
-    columns of A's first q - 1 rows, A = ints + prev[:m-k], and the probe:
-    Bareiss on [A's columns, last first | I] leaves these in its row
-    q - 1, reversed, and the row and column order gives the sign.  Pivots
-    are chart values of the triangle (1, v-1, v) or its edges at 1, times
-    row scales, so no row is swapped.  ``_bareiss`` is reused, not copied,
-    to keep one loop whose divisions are exact.
+    Past e_1..e_i, det is a minor on the trailing q = m - i columns of the
+    first q - 1 rows of A = ints + prev[:m-k] and the probe: Bareiss on
+    [A's columns, last first | antidiagonal of ones] leaves it in row q - 1,
+    the row and column order giving s_i.  Pivots are chart values times
+    row scales, so no row is swapped.
     """
-    k = len(ints) + 1
-    a = ints + prev[:m - k]
-    aug = [[row[m - 1 - r] for row in a] + [int(r == t) for t in range(m)]
+    a = ints + prev[:m - 1 - len(ints)]
+    aug = [[row[m - 1 - r] for row in a] + [int(r + t == m - 1) for t in range(m)]
            for r in range(m)]
     _bareiss(aug, m - 1)
-    for i in range(m - k + 1):
-        q = m - i
-        sign = (-1) ** ((k - 1) * (m - k - i) + q * (q - 1) // 2)
-        yield [0] * i + [sign * aug[q - 1][2 * m - 2 - c] for c in range(i, m)]
+    return aug
 
 
 def random_positive(n, m, seed, bound=20):

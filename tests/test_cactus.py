@@ -420,6 +420,10 @@ def test_face_by_face_action_matches_whole_chart_relabel(case, m, seed):
     before = dict(p.values)
     out, ref = act_generator(p, g), act_on_chart_reference(p, g)
     assert out.triangulation == ref.triangulation
+    # equality compares diagonals alone: the faces carried through are the
+    # validated constructor's, in order
+    assert (out.triangulation.triangles()
+            == Triangulation(t.n, out.triangulation.diagonals).triangles())
     assert out.values == ref.values
     assert p.values == before
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totpos.flags as flags
+import totpos.mutation as mutation
 import totpos.rational as rational
 import totpos.reconstruct as reconstruct
 from totpos.rational import Mat, _clear_row, _integer_clearing
@@ -12,7 +13,7 @@ from totpos.polygon import Triangulation, ChartPoint, chart_dimension, chart_ind
 from totpos.mutation import transport
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point,
-                                ChartValueError, _nested_cofactors)
+                                ChartValueError, _nested_cofactors, _rebuild_plan)
 
 from conftest import (_solve_cleared, cofactor_ints, identity, random_triangulation,
                       triangulations)
@@ -77,8 +78,10 @@ def _fields(f):
     return f.m, f.rep, f._ints, f._scales, f._det
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(3, 9).flatmap(triangulations), st.integers(2, 5),
+# hypothesis draws the corner (11, 7, 80) often, about 2 s each with the
+# oracle: 20 examples keep the sweep to a few seconds
+@settings(deadline=None, max_examples=20)
+@given(st.integers(3, 11).flatmap(triangulations), st.integers(2, 7),
        st.integers(0, 2 ** 32), st.sampled_from([20, 80]))
 def test_charts_to_flags_matches_the_reference(t, m, seed, bound):
     p = random_chart_point(t, m, seed, bound)
@@ -97,13 +100,42 @@ def test_nested_cofactors_match_one_elimination_each(monkeypatch):
         first = flags[0]._ints
         for v in range(3, n + 1):
             prev, ints = list(flags[v - 2]._ints[:m - 1]), list(flags[v - 1]._ints)
-            for k in range(1, m):
-                cofs = list(_nested_cofactors(ints[:k - 1], prev, m))
-                assert len(cofs) == m - k + 1
-                for i, cof in enumerate(cofs):
+            for k, conditions in enumerate(_rebuild_plan(n, m)[v - 3], 1):
+                aug = _nested_cofactors(ints[:k - 1], prev, m)
+                assert [c[0] for c in conditions] == list(range(m - k, -1, -1))
+                for i, j, key, sign in conditions:
+                    cof = [sign * x for x in aug[m - 1 - i][m - 1:]]
                     assert cof == cofactor_ints(list(first[:i]) + prev[:m - k - i]
                                                 + ints[:k - 1])
     assert signs and set(signs) == {1}
+
+
+def test_rebuild_plan_covers_the_fan_chart():
+    # the planned keys and flag 2's {1, 2} edge keys are the fan chart's,
+    # each once
+    for n in range(3, 13):
+        fan = Triangulation.fan(n)
+        for m in range(2, 9):
+            keys = [index_at(n, (1, 2), (m - j, j)) for j in range(1, m)]
+            keys += [key for plan in _rebuild_plan(n, m) for conditions in plan
+                     for _, _, key, _ in conditions]
+            assert sorted(keys) == chart_indices(fan, m)
+
+
+def test_rebuilding_a_fan_point_runs_no_flip(monkeypatch):
+    # a point on the fan at 1 is not transported, and the configuration
+    # holds its values as its fan chart
+    p = random_chart_point(Triangulation.fan(8), 3, 71)
+    calls = []
+    for module, name in ((mutation, "_flip"), (reconstruct, "transport")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    c = charts_to_flags(p)
+    assert calls == []
+    assert c._fan.values == p.values and c._fan.triangulation == Triangulation.fan(8)
+    charts_to_flags(random_chart_point(random_triangulation(8, 3), 3, 71))
+    assert calls[0] == "transport" and "_flip" in calls
 
 
 @settings(deadline=None, max_examples=25)
