@@ -14,7 +14,8 @@ taking out the projection on the flag's earlier rows, which are mutually
 orthogonal, makes the row orthogonal to them.  Each flag's last row is e_1
 less its projection on the other rows, over the chart value with weights
 (1, m-1) on the edge {1, v}: det 1 with no elimination.  Each row is
-cleared with one gcd, and each flag is held as that clearing.
+cleared with one gcd; each flag is held as that clearing; reading ``rep``
+forms Fractions.
 """
 
 import random
@@ -59,23 +60,23 @@ def charts_to_flags(p):
     returns p value for value.  The point is read on the fan at vertex 1,
     so the representatives depend only on the point, and every chart of
     one point rebuilds the same flags.  The configuration keeps that fan
-    chart point as ``_fan``, for ``cactus.act_word`` to act on: p itself
-    when it lies on the fan already.
+    chart point as ``_fan``, for ``cactus.act_word`` to act on.
     """
     n, m = p.triangulation.n, p.m
-    fan = Triangulation.fan(n)
-    p = p if p.triangulation == fan else transport(p, fan)
-    values = p.values
+    fan = transport(p, Triangulation.fan(n))
+    values = fan.values
 
     # vertex 1: the standard flag
     standard = [[int(j == i) for j in range(m)] for i in range(m)]
     flags = [DecoratedFlag._of(standard, [1] * (m + 1), 1)]
 
     # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
-    rows, prod = [], Fraction(1)
+    rows = []
+    prod = Fraction(1)
     for j in range(1, m):
         target = (-1) ** (j * (j - 1) // 2) * values[index_at(n, (1, 2), (m - j, j))]
-        lam, prod = target / prod, target
+        lam = target / prod
+        prod = target
         rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
     known = _integer_clearing(rows)
     flags.append(_completed(known, values[index_at(n, (1, 2), (1, m - 1))]))
@@ -83,7 +84,7 @@ def charts_to_flags(p):
         known = _solve_flag(values, plan, known, m)
         flags.append(_completed(known, values[index_at(n, (1, v), (1, m - 1))]))
     c = Configuration(flags)
-    c._fan = p
+    c._fan = fan
     return c
 
 
