@@ -276,7 +276,7 @@ _COMMANDS = {
     "act": _cmd_act,
     "verify-axioms": _cmd_verify_axioms,
     "verify-cactus": _cmd_verify_cactus,
-    "dim": lambda args: (sys.stdout.write("%d\n" % chart_dimension(args.n, args.m)), 0)[1],
+    "dim": lambda args: print(scalar_str(chart_dimension(args.n, args.m))) or 0,
 }
 
 

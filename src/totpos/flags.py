@@ -18,16 +18,16 @@ since they give identical coordinates.
 The reversal map (reverse, with its edge and triangle cases iota and theta)
 is built from the orthogonal flag J F^{-T} J of a representative F, where J
 is the antidiagonal matrix of ones; this one closed form serves every m.
-Its rows come straight from F's held int rows, made mutually orthogonal
-within the coset (every flag the library makes has such rows already), so
-it takes no elimination.  The reversal keeps configurations positive, so
-the signs these maps need depend only on (n, m): reverse needs none, and
-rotate, rotate_inv and face take theirs in closed form from _shifted.
+Its rows come straight from F's canonical rows (below), so it takes no
+elimination.  The reversal keeps configurations positive, so the signs
+these maps need depend only on (n, m): reverse needs none, and rotate,
+rotate_inv and face take theirs in closed form from _shifted.
 
-A flag is held as its integer clearing only; its Fraction rows are formed
-when ``rep`` is read.  Every derived flag is wrapped unchecked on its own
-clearing, with its det known in closed form; the checked constructor, which
-eliminates once to find the det, is for outside input.
+A flag is held as its integer clearing only.  Its canonical representative,
+by which flags compare and hash, has mutually orthogonal rows; every derived
+flag holds it, wrapped unchecked with its det in closed form.  Fraction rows
+are read only by the checked constructor, for outside input, which
+eliminates once to find the det, and formed only by ``rep``.
 """
 
 from fractions import Fraction
@@ -88,11 +88,11 @@ class DecoratedFlag:
     """A complete flag of R^m with volume decorations, as an m x m matrix.
 
     A flag is held as its integer clearing only: int rows, the prefix
-    products of their row scales, and the det.  Configuration.delta stacks
-    the int rows, so coordinates never touch Fraction arithmetic; the
-    Fraction representative is formed when ``rep`` is read.  The checked
-    constructor requires det 1, and ``scale_rows`` is the one way to a flag
-    of another det.
+    products of their row scales, and the det.  Coordinates stack the int
+    rows, and ``==`` and ``hash`` compare the orthogonal-row clearing of
+    ``canonicalize``, so none of them touches Fraction arithmetic; ``rep``
+    forms the Fraction rows.  The checked constructor requires det 1, and
+    ``scale_rows`` is the one way to a flag of another det.
     """
 
     __slots__ = ("m", "_ints", "_scales", "_det")
@@ -127,33 +127,32 @@ class DecoratedFlag:
                              for i, row in enumerate(self._ints)))
 
     def __eq__(self, other):
-        """Equality of decorated flags, i.e. of coset normal forms."""
-        return (isinstance(other, DecoratedFlag)
-                and self.canonicalize().rep == other.canonicalize().rep)
+        """Equality of decorated flags, i.e. of their canonical clearings."""
+        if not isinstance(other, DecoratedFlag):
+            return False
+        a, b = self.canonicalize(), other.canonicalize()
+        return a._ints == b._ints and a._scales == b._scales
 
     def __hash__(self):
-        return hash(self.canonicalize().rep)
+        c = self.canonicalize()
+        return hash((tuple(map(tuple, c._ints)), tuple(c._scales)))
 
     def __repr__(self):
         return "DecoratedFlag(%r)" % (self.rep,)
 
     def canonicalize(self):
-        """The unique coset representative.
-
-        Each row is reduced against the pivot columns of the earlier rows,
-        using only additions of earlier rows, which keep the det; idempotent,
-        and constant on cosets.
-        """
-        rows = [list(r) for r in self.rep.entries]
-        pivots = []
-        for t in range(self.m):
-            for j, p in enumerate(pivots):
-                if rows[t][p] != 0:
-                    f = rows[t][p] / rows[j][p]
-                    rows[t] = [a - f * b for a, b in zip(rows[t], rows[j])]
-            piv = next(c for c, x in enumerate(rows[t]) if x != 0)
-            pivots.append(piv)
-        return DecoratedFlag._of(*_integer_clearing(rows), self._det)
+        """The unique coset representative, with mutually orthogonal rows:
+        each held int row less its projection on the rows before it (the
+        vectors of V_{l-1} by which row l varies over a coset), cleared with
+        one gcd.  Every flag the library makes holds these rows already."""
+        s = self._scales
+        ints, scales = [], [1]
+        for l, row in enumerate(self._ints):
+            nums, d = _project_out(row, ints)
+            r, e = _clear_ratio(nums, d * (s[l + 1] // s[l]))
+            ints.append(r)
+            scales.append(scales[-1] * e)
+        return DecoratedFlag._of(ints, scales, self._det)
 
     def orthogonal(self):
         """The orthogonal flag: J F^{-T} J, rescaled to det 1.

@@ -11,8 +11,8 @@ propagates for free.  Its per-m plan names the positions it deletes from
 the dict, the old chart's weights that the new one lacks, and those it
 makes, the reverse; the intermediate weights, with all four entries
 positive, live only in the program's list.  ``flip_transport`` takes one
-step, ``transport`` one per quadrilateral that ``flip_path`` reads off the
-faces, and ``cactus`` one per diagonal that crosses the chord it puts in.
+step, ``transport`` one per quadrilateral of ``polygon._flip_quadrilaterals``,
+and ``cactus`` one per diagonal that crosses the chord it puts in.
 """
 
 from fractions import Fraction

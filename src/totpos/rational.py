@@ -15,8 +15,8 @@ arithmetic, and fraction-free Bareiss elimination (Math. Comp. 22, 1968)
 keeps every intermediate entry a minor of the cleared matrix, so its
 divisions are exact and its entries polynomially bounded.  Fractions are
 formed only for the results.  ``_project_out`` takes a row's projection on
-mutually orthogonal int rows, for the orthogonal flag and the rebuilt flag
-rows.
+mutually orthogonal int rows, for the canonical and orthogonal flags and
+the rebuilt flag rows.
 """
 
 from fractions import Fraction

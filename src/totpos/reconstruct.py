@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .rational import (scalar_str, _bareiss, _clear_ratio, _integer_clearing,
+from .rational import (scalar_str, _bareiss, _clear_ratio, _prefix_scales,
                        _project_out)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
@@ -70,15 +70,15 @@ def charts_to_flags(p):
     standard = [[int(j == i) for j in range(m)] for i in range(m)]
     flags = [DecoratedFlag._of(standard, [1] * (m + 1), 1)]
 
-    # vertex 2: scaled antidiagonal rows, matched to the {1, 2} edge values
-    rows = []
+    # vertex 2: scaled antidiagonal int rows, matched to the {1, 2} edge values
+    cleared = []
     prod = Fraction(1)
     for j in range(1, m):
         target = (-1) ** (j * (j - 1) // 2) * values[index_at(n, (1, 2), (m - j, j))]
         lam = target / prod
         prod = target
-        rows.append([lam if c == m - j else Fraction(0) for c in range(m)])
-    known = _integer_clearing(rows)
+        cleared.append(([0] * (m - j) + [lam.numerator] + [0] * (j - 1), lam.denominator))
+    known = _prefix_scales(cleared)
     flags.append(_completed(known, values[index_at(n, (1, 2), (1, m - 1))]))
     for v, plan in enumerate(_rebuild_plan(n, m), 3):
         known = _solve_flag(values, plan, known, m)

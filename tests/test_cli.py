@@ -557,13 +557,17 @@ def test_word_errors_are_short(capsys, word, reason):
 
 def test_output_over_the_digit_limit_exits_two(capsys):
     # 4,001-digit values are within the input limit, but a flip multiplies
-    # them past the 4,300 digits Python converts to text
+    # them past the 4,300 digits Python converts to text; so does the chart
+    # dimension of 2,200-digit n and m
     data = json.loads(_gen_chart(4, 2)[1])
     for s, k in enumerate(sorted(data["values"])):
         data["values"][k] = "%d/%d" % (10 ** 4000 + 10 * s + 1, 10 ** 3999)
-    code, out = run_cli(["flip", "-", "--diagonal", "1-3"], json.dumps(data))
-    assert (code, out) == (2, "")
-    assert "4300 digits" in json.loads(capsys.readouterr().err)["error"]
+    big = str(10 ** 2199)
+    for argv, stdin in [(["flip", "-", "--diagonal", "1-3"], json.dumps(data)),
+                        (["dim", big, big], "")]:
+        code, out = run_cli(argv, stdin)
+        assert (code, out) == (2, "")
+        assert "4300 digits" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -163,21 +164,33 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
             # the sign of row 1 moves to the last row, which the det undoes
             unflipped = flipped.flags[0].orthogonal()
         assert twice == f and unflipped == f.orthogonal()
-        assert f.canonicalize() == f
+        for g in (*c.flags, *reverse(c).flags):
+            k = g.canonicalize()
+            assert k == g and (k._ints, k._scales, k._det) == (g._ints, g._scales, g._det)
         assert flipped.flags[0]._det == -1 and not flipped.is_positive()
         assert sign_normalize(flipped).same_point(c)
 
 
 def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
-    # a flag is held as its integer clearing; only rep, and so to_json,
-    # canonicalize and __repr__, form Fractions from it
+    # a flag is held as its integer clearing; only rep, and so to_json and
+    # __repr__, forms Fractions from it, and only the checked constructor
+    # and det clear Fraction rows: charts_to_flags and canonicalize, and so
+    # == and hash, work on int rows alone
     p = random_chart_point(random_triangulation(6, 2), 3, 43)
-    a, b = charts_to_flags(p), charts_to_flags(p)
+    moved = DecoratedFlag(add_multiple_of_row(charts_to_flags(p).flags[2].rep, 2, 0,
+                                              Fraction(5, 3)))
 
     def refuse(*args):
-        raise AssertionError("a Fraction representative was formed")
+        raise AssertionError("a Fraction representative was formed or cleared")
 
+    clearing = rational._integer_clearing
+    binders = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "totpos"
+               and vars(mod).get("_integer_clearing") is clearing]
+    assert rational in binders and flags in binders
+    for mod in binders:
+        monkeypatch.setattr(mod, "_integer_clearing", refuse)
     monkeypatch.setattr(DecoratedFlag, "rep", property(refuse))
+    a, b = charts_to_flags(p), charts_to_flags(p)
     assert act_word(a, [IntervalGen(2, 5), IntervalGen(6, 3)]).is_positive()
     assert flags_to_charts(a, p.triangulation).values == p.values
     assert reverse(reverse(a)).same_point(a)
@@ -185,6 +198,10 @@ def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
     flipped = Configuration([*a.flags[:2], f.scale_rows([-1, -1, 1]), *a.flags[3:]])
     assert not flipped.is_positive() and sign_normalize(flipped).same_point(a)
     assert f.orthogonal().orthogonal()._det == 1
+    k = moved.canonicalize()
+    assert (k._ints, k._scales, k._det) == (f._ints, f._scales, f._det)
+    assert moved == f and hash(moved) == hash(f) and moved != a.flags[3]
+    assert len({*a.flags, *b.flags, moved}) == a.n
     assert a.same_point(b)
     monkeypatch.setattr(Configuration, "_delta", refuse)
     assert a.same_point(b) and b.same_point(a)
@@ -238,6 +255,10 @@ def test_orthogonal_depends_only_on_the_coset(m, seed, data):
     g, h = moved.orthogonal(), f.orthogonal()
     assert (g._ints, g._scales, g._det) == (h._ints, h._scales, h._det)
     assert g == perp_with(moved, *closed_form_convention(m))
+    # and the canonical representative is F's own clearing
+    k = moved.canonicalize()
+    assert (k._ints, k._scales, k._det) == (f._ints, f._scales, f._det)
+    assert moved == f and hash(moved) == hash(f)
 
 
 def test_sign_normalize_reaches_positive_chamber():
