@@ -37,15 +37,14 @@ def relabel_chart(p, perm):
     t = p.triangulation
     n = t.n
     inv = {perm[i - 1]: i for i in range(1, n + 1)}
-    new_t = Triangulation(n, [tuple(sorted((inv[a], inv[b])))
-                              for a, b in t.diagonals])
+    new_t = Triangulation._of_chords(n, [(inv[a], inv[b]) for a, b in t.diagonals])
     values = {}
     for idx in chart_indices(new_t, p.m):
         old = [0] * n
         for i in range(n):
             old[perm[i] - 1] = idx[i]
         values[idx] = p.values[tuple(old)]
-    return ChartPoint(new_t, p.m, values)
+    return ChartPoint._of(new_t, p.m, values)
 
 
 def double_reversal(p):
@@ -163,13 +162,13 @@ def check_glue(m, trials, seed):
         # tri2 = (1,3,4): the shared diagonal is its local edge {1,2}
         mismatched = {idx: v + 1 if idx[2] == 0 else v
                       for idx, v in p2.values.items()}
-        other = charts_to_flags(ChartPoint(t3, m, mismatched))
+        other = charts_to_flags(ChartPoint._of(t3, m, mismatched))
         if glue_check({tri1: a[tri1], tri2: other}, SQUARE):
             return False
         if m >= 3:
             values = {idx: v + 1 if all(idx) else v
                       for idx, v in p2.values.items()}
-            other = charts_to_flags(ChartPoint(t3, m, values))
+            other = charts_to_flags(ChartPoint._of(t3, m, values))
             if not glue_check({tri1: a[tri1], tri2: other}, SQUARE):
                 return False
         return True

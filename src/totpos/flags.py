@@ -27,7 +27,8 @@ A flag is held as its integer clearing only.  Its canonical representative,
 by which flags compare and hash, has mutually orthogonal rows; every derived
 flag holds it, wrapped unchecked with its det in closed form.  Fraction rows
 are read only by the checked constructor, for outside input, which
-eliminates once to find the det, and formed only by ``rep``.
+eliminates once to find the det, and formed only by ``rep``, for ``repr``;
+``to_json`` writes each entry straight from the clearing.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ from itertools import combinations
 from math import prod
 
 from .rational import (Mat, scalar, scalar_str, _clear_ratio, _integer_clearing,
-                       _prefix_scales, _project_out, _det_cleared)
+                       _prefix_scales, _project_out, _det_cleared, _ratio_str)
 
 
 class FlagError(ValueError):
@@ -89,9 +90,10 @@ class DecoratedFlag:
 
     A flag is held as its integer clearing only: int rows, the prefix
     products of their row scales, and the det.  Coordinates stack the int
-    rows, and ``==`` and ``hash`` compare the orthogonal-row clearing of
-    ``canonicalize``, so none of them touches Fraction arithmetic; ``rep``
-    forms the Fraction rows.  The checked constructor requires det 1, and
+    rows, ``==`` and ``hash`` compare the orthogonal-row clearing of
+    ``canonicalize``, and ``Configuration.to_json`` writes the clearing, so
+    none of them touches Fraction arithmetic; ``rep`` forms the Fraction
+    rows, for ``repr``.  The checked constructor requires det 1, and
     ``scale_rows`` is the one way to a flag of another det.
     """
 
@@ -280,12 +282,11 @@ class Configuration:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        return {
-            "m": self.m,
-            "n": self.n,
-            "flags": [[[scalar_str(x) for x in row] for row in f.rep.entries]
-                      for f in self.flags],
-        }
+        """Each flag's ``rep``, written from its clearing: int row over scale."""
+        return {"m": self.m, "n": self.n,
+                "flags": [[[_ratio_str(x, b // a) for x in row]
+                           for row, a, b in zip(f._ints, f._scales, f._scales[1:])]
+                          for f in self.flags]}
 
     @classmethod
     def from_json(cls, data):

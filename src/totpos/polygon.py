@@ -5,6 +5,7 @@ labels here; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, pairwise
 
 from .flags import admissible_indices, check_index
@@ -71,9 +72,13 @@ class Triangulation:
         if len(diags) != n - 3:
             raise PolygonError("a triangulation of the %d-gon needs %d diagonals, got %d"
                                % (n, n - 3, len(diags)))
-        for d1, d2 in combinations(diags, 2):
-            if chords_cross(d1, d2, n):
-                raise PolygonError("diagonals %s and %s cross" % (d1, d2))
+        stack = []  # as for brackets: the nested diagonals that end past a
+        for a, b in sorted(diags, key=lambda d: (d[0], -d[1])):
+            while stack and stack[-1][1] <= a:
+                stack.pop()
+            if stack and stack[-1][1] < b:  # ends beyond the innermost
+                raise PolygonError("diagonals %s and %s cross" % (stack[-1], (a, b)))
+            stack.append((a, b))
         self.n = n
         self.diagonals = frozenset(diags)
         self._faces = _faces(n, diags)
@@ -97,12 +102,13 @@ class Triangulation:
                               if a != b and not _is_boundary(a, b, n))
         return cls._of(n, diagonals, _faces(n, diagonals))
 
-    @classmethod
-    def fan(cls, n, apex=1):
-        """The triangulation whose diagonals all end at ``apex``."""
+    @staticmethod
+    def fan(n, apex=1):
+        """The triangulation whose diagonals all end at ``apex``, one shared
+        object per (n, apex): no triangulation is ever changed."""
         if type(n) is not int or n < 3 or not 1 <= apex <= n:
             raise PolygonError("no fan at vertex %r of the %r-gon" % (apex, n))
-        return cls._of_chords(n, [(apex, v) for v in range(1, n + 1)])
+        return _fan(n, apex)
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
@@ -151,6 +157,11 @@ class Triangulation:
     @classmethod
     def from_json(cls, data):
         return cls(data["n"], data["diagonals"])
+
+
+@lru_cache(maxsize=None, typed=True)
+def _fan(n, apex):
+    return Triangulation._of_chords(n, [(apex, v) for v in range(1, n + 1)])
 
 
 def _beyond(t):
@@ -296,7 +307,7 @@ class ChartPoint:
     def _of(cls, triangulation, m, values):
         """Wrap a dict of positive Fractions keyed by exactly the chart
         indices as is, without checking; for chart points the library
-        derives from a valid one, such as by flip transport."""
+        makes, such as by flip transport or at random."""
         p = object.__new__(cls)
         p.triangulation = triangulation
         p.m = m
@@ -321,18 +332,25 @@ class ChartPoint:
 
     @classmethod
     def from_json(cls, data):
+        """Each key is read by one lookup of its ``to_json`` spelling, and parsed
+        only when it is not one; the checked constructor validates the point."""
         t = Triangulation.from_json(data["triangulation"])
-        if not isinstance(data["values"], dict):
+        values = data["values"]
+        if not isinstance(values, dict):
             raise PolygonError("chart values must be an object keyed by chart indices")
-        values = {}
-        for k, v in data["values"].items():
-            idx = tuple(int(x) for x in k.split(","))
-            # one spelling per index, so no value can shadow another
-            form = ",".join(map(str, idx))
-            if k != form:
-                raise PolygonError("chart index %r is not in the form %r" % (k, form))
-            values[idx] = scalar(v)
-        return cls(t, data["m"], values)
+        m, spelling = data["m"], {}
+        if type(m) is int and m >= 2 and len(values) == chart_dimension(t.n, m):
+            spelling = {",".join(map(str, idx)): idx for idx in chart_indices(t, m)}
+        return cls(t, m, {spelling.get(k) or _parse_key(k): v for k, v in values.items()})
+
+
+def _parse_key(k):
+    """The index k spells, in ``to_json``'s spelling only: no value shadows another."""
+    idx = tuple(int(x) for x in k.split(","))
+    form = ",".join(map(str, idx))
+    if k != form:
+        raise PolygonError("chart index %r is not in the form %r" % (k, form))
+    return idx
 
 
 def edge_values(config, a, b, m):

@@ -68,6 +68,12 @@ def scalar_str(x):
         raise DigitLimitError("output value: %s" % exc) from None
 
 
+def _ratio_str(x, d):
+    """scalar_str(Fraction(x, d)) for ints x and d > 0, with no Fraction formed."""
+    g = gcd(x, d)
+    return scalar_str(x // g) + ("" if g == d else "/" + scalar_str(d // g))
+
+
 class Mat:
     """Immutable dense matrix of Fractions."""
 

@@ -190,4 +190,4 @@ def random_chart_point(t, m, seed, bound=20):
     rng = random.Random(seed)
     values = {idx: Fraction(rng.randint(1, bound), rng.randint(1, bound))
               for idx in chart_indices(t, m)}
-    return ChartPoint(t, m, values)
+    return ChartPoint._of(t, m, values)

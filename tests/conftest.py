@@ -8,8 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 import totpos
-from totpos.rational import (Mat, scalar, SingularMatrixError, _bareiss, _clear_ratio,
-                             _clear_row, _integer_clearing, _prefix_scales)
+from totpos.rational import (Mat, scalar, scalar_str, SingularMatrixError, _bareiss,
+                             _clear_ratio, _clear_row, _integer_clearing, _prefix_scales)
 from totpos.flags import (DecoratedFlag, Configuration, FlagError, NotGenericError,
                           admissible_indices, _shifted, face, reverse, rotate, rotate_inv)
 from totpos.axioms import DIAGONAL_SHIFTS
@@ -116,6 +116,15 @@ def orthogonal_reference(flag):
     rows[-1] = [x * d.numerator for x in rows[-1]]
     dens = [p] * (m - 1) + [p * d.denominator]
     return DecoratedFlag._of(*_prefix_scales(map(_clear_ratio, rows, dens)), 1)
+
+
+def config_json_reference(c):
+    """A configuration's JSON, each entry of each flag's Fraction rows spelled
+    by scalar_str: the oracle for Configuration.to_json, which writes the
+    entries straight from the clearing with no Fraction formed."""
+    return {"m": c.m, "n": c.n,
+            "flags": [[[scalar_str(x) for x in row] for row in f.rep.entries]
+                      for f in c.flags]}
 
 
 class SignNormalizeError(FlagError):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 import totpos.__main__ as totpos_main
 import totpos.cli as cli
 import totpos.polygon as polygon
+from totpos.flags import Configuration, DecoratedFlag
+from totpos.rational import DigitLimitError
 
 from conftest import run_totpos
 
@@ -179,8 +182,7 @@ def test_zero_denominator_in_flag_exits_two(capsys, args):
 def test_non_unimodular_flag_exits_two(capsys):
     # the rebuilt flags are wrapped unchecked, but a flag read from input
     # still has its det checked
-    from fractions import Fraction
-    from totpos.flags import Configuration, FlagError
+    from totpos.flags import FlagError
     _, cfg = run_cli(["gen", "5", "3", "--seed", "1"])
     data = json.loads(cfg)
     data["flags"][2][-1] = [str(2 * Fraction(x)) for x in data["flags"][2][-1]]
@@ -311,6 +313,50 @@ def test_chart_index_spellings_exit_two(capsys, spellings):
     if len(spellings) == 1:
         del data["values"]["0,0,1,1"]
     data["values"].update(spellings)
+    _exits_two(capsys, ["flip", "-", "--diagonal", "1-3"], json.dumps(data))
+
+
+def _rekeyed(values, old, new):
+    return {new if k == old else k: v for k, v in values.items()}
+
+
+_MALFORMED_CHARTS = {
+    # keys: read by one lookup, and only a key not in the map is parsed
+    "00,": lambda v, k: _rekeyed(v, k, "0" + k),
+    " 1,": lambda v, k: _rekeyed(v, "1,0,0,0,2", " 1,0,0,0,2"),
+    "+1,": lambda v, k: _rekeyed(v, "1,0,0,0,2", "+1,0,0,0,2"),
+    "missing key": lambda v, k: {x: y for x, y in v.items() if x != k},
+    "extra key": lambda v, k: dict(v, **{"0,1,0,1,1": "1"}),
+    "not a chart index": lambda v, k: _rekeyed(v, k, "0,1,0,1,1"),
+    # values, which the checked constructor coerces and checks
+    "zero": lambda v, k: dict(v, **{k: "0"}),
+    "negative": lambda v, k: dict(v, **{k: "-1/2"}),
+    "float": lambda v, k: dict(v, **{k: 1.5}),
+    "bool": lambda v, k: dict(v, **{k: True}),
+}
+
+
+@pytest.mark.parametrize("fault,error", [
+    *[(name, TypeError if name in ("float", "bool") else polygon.PolygonError)
+      for name in _MALFORMED_CHARTS],
+    *[(m, polygon.PolygonError) for m in (3.0, "3", 1)],
+    ("values a list", polygon.PolygonError)])
+def test_malformed_chart_documents_raise_and_exit_two(capsys, fault, error):
+    # the exception classes of the reader that parsed every key; on the fan
+    # at 1, "0,0,1,2,0" and "1,0,0,0,2" are keys and (0, 1, 0, 1, 1) is no
+    # chart index
+    data = json.loads(_gen_chart(5, 3)[1])
+    values, key = data["values"], "0,0,1,2,0"
+    assert {key, "1,0,0,0,2"} <= set(values) and "0,1,0,1,1" not in values
+    if fault in _MALFORMED_CHARTS:
+        data["values"] = _MALFORMED_CHARTS[fault](values, key)
+    elif fault == "values a list":
+        data["values"] = list(values)
+    else:
+        data["m"] = fault
+    with pytest.raises(error) as info:
+        polygon.ChartPoint.from_json(data)
+    assert ("not in the form" in str(info.value)) == (fault in ("00,", " 1,", "+1,"))
     _exits_two(capsys, ["flip", "-", "--diagonal", "1-3"], json.dumps(data))
 
 
@@ -558,7 +604,13 @@ def test_word_errors_are_short(capsys, word, reason):
 def test_output_over_the_digit_limit_exits_two(capsys):
     # 4,001-digit values are within the input limit, but a flip multiplies
     # them past the 4,300 digits Python converts to text; so does the chart
-    # dimension of 2,200-digit n and m
+    # dimension of 2,200-digit n and m, and a flag entry whose numerator or
+    # reduced denominator has 4,401 digits
+    big = 10 ** 4400
+    for rows in ([[big, 0], [0, Fraction(1, big)]], [[Fraction(1, big), 0], [0, big]]):
+        c = Configuration([DecoratedFlag(rows), DecoratedFlag([[1, 0], [0, 1]])])
+        with pytest.raises(DigitLimitError, match="4300 digits"):
+            c.to_json()
     data = json.loads(_gen_chart(4, 2)[1])
     for s, k in enumerate(sorted(data["values"])):
         data["values"][k] = "%d/%d" % (10 ** 4000 + 10 * s + 1, 10 ** 3999)

@@ -16,9 +16,10 @@ from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 from totpos.cactus import IntervalGen, act_word
 
-from conftest import (SignNormalizeError, add_multiple_of_row, clearings, det_oracle,
-                      mat_mul, orthogonal_reference, random_triangulation, relabel,
-                      reversal_sign_cases, scale_row, sign_normalize, transpose)
+from conftest import (SignNormalizeError, add_multiple_of_row, clearings,
+                      config_json_reference, det_oracle, mat_mul, orthogonal_reference,
+                      random_triangulation, relabel, reversal_sign_cases, scale_row,
+                      sign_normalize, transpose)
 from test_calibration import antidiagonal, closed_form_convention, perp_with
 
 
@@ -172,13 +173,16 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
 
 
 def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
-    # a flag is held as its integer clearing; only rep, and so to_json and
-    # __repr__, forms Fractions from it, and only the checked constructor
-    # and det clear Fraction rows: charts_to_flags and canonicalize, and so
-    # == and hash, work on int rows alone
+    # a flag is held as its integer clearing; only rep, and so __repr__,
+    # forms Fractions from it, and only the checked constructor and det
+    # clear Fraction rows: charts_to_flags, canonicalize, and so == and
+    # hash, and to_json, which writes each entry from the clearing, work on
+    # int rows alone
     p = random_chart_point(random_triangulation(6, 2), 3, 43)
     moved = DecoratedFlag(add_multiple_of_row(charts_to_flags(p).flags[2].rep, 2, 0,
                                               Fraction(5, 3)))
+    written = [config_json_reference(c) for c in (charts_to_flags(p),
+                                                  reverse(charts_to_flags(p)))]
 
     def refuse(*args):
         raise AssertionError("a Fraction representative was formed or cleared")
@@ -202,6 +206,7 @@ def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
     assert (k._ints, k._scales, k._det) == (f._ints, f._scales, f._det)
     assert moved == f and hash(moved) == hash(f) and moved != a.flags[3]
     assert len({*a.flags, *b.flags, moved}) == a.n
+    assert [a.to_json(), reverse(b).to_json()] == written
     assert a.same_point(b)
     monkeypatch.setattr(Configuration, "_delta", refuse)
     assert a.same_point(b) and b.same_point(a)
@@ -259,6 +264,25 @@ def test_orthogonal_depends_only_on_the_coset(m, seed, data):
     k = moved.canonicalize()
     assert (k._ints, k._scales, k._det) == (f._ints, f._scales, f._det)
     assert moved == f and hash(moved) == hash(f)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(3, 6), st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
+def test_to_json_spells_the_fraction_rows(n, m, seed, data):
+    # each entry is written from the clearing, int x over its row scale d in
+    # lowest terms, and must spell the Fraction rows of rep: on rebuilt,
+    # reversed and rescaled flags (negative and fractional factors) and on
+    # outside input L F, whose rows are not the canonical ones
+    c = random_positive(n, m, seed)
+    factors = data.draw(st.lists(nonzero_rationals, min_size=m, max_size=m))
+    entries = st.integers(-4, 4).filter(bool)
+    lower = [[data.draw(entries) if j < i else int(i == j) for j in range(m)]
+             for i in range(m)]
+    moved = DecoratedFlag(mat_mul(Mat(lower), c.flags[-1].rep))
+    for x in (c, reverse(c), Configuration([*c.flags[:-1], moved]),
+              Configuration([f.scale_rows(factors) for f in c.flags]),
+              Configuration([f.scale_rows([Fraction(-2, 3)] * m) for f in c.flags])):
+        assert x.to_json() == config_json_reference(x)
 
 
 def test_sign_normalize_reaches_positive_chamber():

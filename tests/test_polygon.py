@@ -1,4 +1,6 @@
 import json
+import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             PolygonError)
 from totpos.flags import Configuration
 from totpos.reconstruct import flags_to_charts, random_positive, random_chart_point
+from totpos.mutation import transport
+from totpos.cactus import IntervalGen, act_word
 
 from conftest import random_triangulation, sharing_pairs, triangulations
 
@@ -61,6 +65,53 @@ def test_fans_match_the_public_constructor():
     for n, apex in [(2, 1), (5.0, 1), (5, 0), (5, 6)]:
         with pytest.raises(PolygonError):
             Triangulation.fan(n, apex)
+
+
+def test_fans_are_shared_and_never_changed():
+    """One fan per (n, apex), which no flip, transport or action changes."""
+    for n in range(3, 9):
+        assert Triangulation.fan(n) is Triangulation.fan(n, 1)
+        assert Triangulation.fan(n, 2) is Triangulation.fan(n, 2)
+        assert (Triangulation.fan(n, 2) == Triangulation.fan(n)) == (n == 3)
+    fan = Triangulation.fan(8)
+    faces, diagonals = list(fan.triangles()), fan.diagonals
+    c = random_positive(8, 3, 5)
+    assert fan.flip((1, 4)) != fan
+    assert act_word(c, [IntervalGen(2, 6), IntervalGen(7, 3)]).is_positive()
+    assert transport(flags_to_charts(c, random_triangulation(8, 1)), fan).triangulation is fan
+    assert type(fan.triangles()) is list and fan.triangles() == faces
+    assert fan.diagonals == diagonals and fan is Triangulation.fan(8)
+
+
+@st.composite
+def diagonal_sets(draw):
+    """n and n - 3 distinct diagonals of the n-gon, either end first: some
+    diagonals of a drawn triangulation, many sharing endpoints, and others
+    drawn from all diagonals, which may cross them."""
+    n = draw(st.integers(4, 16))
+    kept = draw(st.sets(st.sampled_from(sorted(draw(triangulations(n)).diagonals))))
+    others = [(a, b) for a, b in combinations(range(1, n + 1), 2)
+              if 1 < b - a < n - 1 and (a, b) not in kept]
+    size = n - 3 - len(kept)
+    drawn = draw(st.lists(st.sampled_from(others), min_size=size, max_size=size,
+                          unique=True))
+    return n, [d[::-1] if draw(st.booleans()) else d for d in [*kept, *drawn]]
+
+
+@settings(deadline=None, max_examples=300)
+@given(diagonal_sets())
+def test_crossings_are_found_as_by_pairwise_comparison(case):
+    """The stack check accepts exactly the sets no two of whose diagonals
+    cross, and names two that cross in every other."""
+    n, diagonals = case
+    pairs = sorted(tuple(sorted(d)) for d in diagonals)
+    if not any(chords_cross(d1, d2, n) for d1, d2 in combinations(pairs, 2)):
+        assert sorted(Triangulation(n, diagonals).diagonals) == pairs
+        return
+    with pytest.raises(PolygonError, match="cross") as info:
+        Triangulation(n, diagonals)
+    a, b, c, d = map(int, re.findall(r"\d+", str(info.value)))
+    assert {(a, b), (c, d)} <= set(pairs) and chords_cross((a, b), (c, d), n)
 
 
 def test_cyclic_helpers():
@@ -260,6 +311,21 @@ def test_chart_point_serialization_round_trip():
     back = ChartPoint.from_json(json.loads(text))
     assert back == p
     assert json.dumps(back.to_json(), sort_keys=True) == text
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(3, 12).flatmap(triangulations), st.integers(2, 12),
+       st.integers(0, 10 ** 6))
+def test_chart_point_json_round_trip_keeps_the_document_order(t, m, seed):
+    """Keys read by one lookup give the point back, in the document's key
+    order: JSON's string order, which is tuple order until a weight of 10,
+    from m = 11, puts "10,1,..." before "2,9,..."."""
+    p = random_chart_point(t, m, seed)
+    doc = json.loads(json.dumps(p.to_json(), sort_keys=True))
+    back = ChartPoint.from_json(doc)
+    assert back == p
+    assert list(back.values) == [tuple(map(int, k.split(","))) for k in doc["values"]]
+    assert (list(back.values) == sorted(back.values)) == (m < 11)
 
 
 def test_v_configuration_chart_is_all_ones(v_config):
