@@ -13,7 +13,8 @@ delta(idx): the determinant obtained by stacking, in vertex order, the first
 idx[k] rows of flag k, for each multi-index idx with sum m and at least two
 nonzero entries.  Equality of configurations is equality of all coordinates;
 identical clearings, that is identical representatives, decide it at once,
-since they give identical coordinates.
+since they give identical coordinates, and at even m so do clearings that
+differ by -I, the global action of a unimodular matrix there.
 
 The reversal map (reverse, with its edge and triangle cases iota and theta)
 is built from the orthogonal flag J F^{-T} J of a representative F, where J
@@ -21,7 +22,8 @@ is the antidiagonal matrix of ones; this one closed form serves every m.
 Its rows come straight from F's canonical rows (below), so it takes no
 elimination.  The reversal keeps configurations positive, so the signs
 these maps need depend only on (n, m): reverse needs none, and rotate,
-rotate_inv and face take theirs in closed form from _shifted.
+rotate_inv and face take theirs in closed form from _shifted, which at
+even m negates the int rows of each flag that wraps round.
 
 A flag is held as its integer clearing only.  Its canonical representative,
 by which flags compare and hash, has mutually orthogonal rows; every derived
@@ -35,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import mul
 
 from .rational import (Mat, scalar, scalar_str, _clear_ratio, _integer_clearing,
                        _prefix_scales, _project_out, _det_cleared, _ratio_str)
@@ -177,7 +180,7 @@ class DecoratedFlag:
         for l, row in enumerate(self._ints):
             row, d = _project_out(row, held)
             held.append(row)
-            f, norm = d * (s[l + 1] // s[l]), sum(x * x for x in row)
+            f, norm = d * (s[l + 1] // s[l]), sum(map(mul, row, row))
             if not l:
                 f, norm = f * det.numerator, norm * det.denominator
             cleared.append(_clear_ratio([f * x for x in reversed(row)], norm))
@@ -268,13 +271,22 @@ class Configuration:
 
         Identical clearings, i.e. representatives, give identical coordinates,
         so they decide it at once (charts_to_flags fixes its gauge from the
-        point alone).  Otherwise the coordinates are compared in admissible order,
-        through the unchecked _delta, up to the first that differs.
+        point alone).  At even m so do negated ones: every flag of ``other``
+        holding the negated int rows and the same row scales of its flag in
+        ``self`` is the global right action of -I, which has det 1 there
+        (at odd m it has det -1 and negates every coordinate).  Otherwise
+        the coordinates are compared in admissible order, through the
+        unchecked _delta, up to the first that differs.
         """
         if self.n != other.n or self.m != other.m:
             return False
         if all(f._ints == g._ints and f._scales == g._scales
                for f, g in zip(self.flags, other.flags)):
+            return True
+        if self.m % 2 == 0 and all(
+                f._scales == g._scales
+                and all([-x for x in r] == s for r, s in zip(f._ints, g._ints))
+                for f, g in zip(self.flags, other.flags)):
             return True
         return all(self._delta(idx) == other._delta(idx)
                    for idx in admissible_indices(self.n, self.m))
@@ -307,10 +319,15 @@ def _shifted(flags, k):
     other m - i rows multiplies it by (-1)^(i (m - i)): 1 at odd m, (-1)^i
     at even m.  So at even m every row of each flag that wraps round is
     negated, which undoes that and keeps the flag's det, as (-1)^m = 1.
+    The int rows are negated one by one under the same row scales: a held
+    clearing is reduced, so this is the clearing ``scale_rows([-1] * m)``
+    would reach.
     """
     flags = tuple(flags)
     m = flags[0].m
-    wrapped = flags[:k] if m % 2 else [f.scale_rows([-1] * m) for f in flags[:k]]
+    wrapped = flags[:k] if m % 2 else [
+        DecoratedFlag._of([[-x for x in row] for row in f._ints], f._scales, f._det)
+        for f in flags[:k]]
     return Configuration((*flags[k:], *wrapped))
 
 

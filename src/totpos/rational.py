@@ -16,11 +16,13 @@ keeps every intermediate entry a minor of the cleared matrix, so its
 divisions are exact and its entries polynomially bounded.  Fractions are
 formed only for the results.  ``_project_out`` takes a row's projection on
 mutually orthogonal int rows, for the canonical and orthogonal flags and
-the rebuilt flag rows.
+the rebuilt flag rows.  Exact dot products of int rows are taken as
+``sum(map(mul, u, v))``, with no generator frame per term.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -158,9 +160,9 @@ def _project_out(nums, rows):
     """
     d = 1
     for r in rows:
-        dot = sum(a * b for a, b in zip(nums, r))
+        dot = sum(map(mul, nums, r))
         if dot:
-            norm = sum(b * b for b in r)
+            norm = sum(map(mul, r, r))
             g = gcd(dot, norm)
             dot, norm = dot // g, norm // g
             nums = [a * norm - dot * b for a, b in zip(nums, r)]

@@ -21,6 +21,7 @@ forms Fractions.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .rational import (scalar_str, _bareiss, _clear_ratio, _prefix_scales,
                        _project_out)
@@ -142,7 +143,7 @@ def _solve_flag(values, plan, prev, m):
             b = sign * value.denominator
             p = b * row[m - 1 + i]
             acc = (value.numerator * prev[1][j] * scales[-1] * den
-                   - b * sum(c * x for c, x in zip(row[m + i:], nums)))
+                   - b * sum(map(mul, row[m + i:], nums)))
             nums = [acc] + [x * p for x in nums]
             den *= p
         nums, d = _project_out(nums + [0] * (k - 1), ints)

@@ -1,5 +1,6 @@
 import pytest
 
+from totpos import flags
 from totpos.mutation import flip_transport
 from totpos.axioms import (check_axiom, check_glue, relabel_chart,
                            double_reversal, HALF_TURN, QUARTER_TURN, SQUARE)
@@ -21,6 +22,18 @@ def test_axiom_passes(k, m):
 def test_triangle_axioms_m4(k):
     r = check_axiom(k, 4, 4, 103)
     assert r["passes"] == r["trials"]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_rotation_conjugation_takes_no_determinant_at_even_m(monkeypatch, m):
+    # theta(rotate(c)) and rotate_inv(theta(c)) hold clearings that differ
+    # by -I, which same_point decides with no coordinate
+    def refuse(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(flags, "_det_cleared", refuse)
+    r = check_axiom(6, m, 5, 3)
+    assert r["passes"] == r["trials"] == 5
 
 
 def test_axiom_id_validation():

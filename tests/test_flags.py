@@ -479,7 +479,8 @@ def _unimodular_change_of_basis(draw, m):
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 10 ** 6),
-       st.sampled_from(["identical", "basis", "row move", "last row", "unequal"]),
+       st.sampled_from(["identical", "basis", "row move", "last row", "center",
+                        "unequal"]),
        st.data())
 def test_same_point_agrees_with_the_full_comparison(n, m, seed, kind, data):
     p = flags_to_charts(random_positive(n, m, seed), Triangulation.fan(n))
@@ -501,6 +502,9 @@ def test_same_point_agrees_with_the_full_comparison(n, m, seed, kind, data):
         x = data.draw(st.sampled_from([-1, 2, Fraction(-3, 7)]))
         moved[k] = moved[k].scale_rows([1] * (m - 1) + [x])
         b = Configuration(moved)
+    elif kind == "center":
+        # the global action of -I: the same point exactly when det(-I) = 1
+        b = Configuration([f.scale_rows([-1] * m) for f in a.flags])
     else:
         values = dict(p.values)
         idx = data.draw(st.sampled_from(sorted(values)))
@@ -509,7 +513,7 @@ def test_same_point_agrees_with_the_full_comparison(n, m, seed, kind, data):
     identical = all(f.rep == g.rep for f, g in zip(a.flags, b.flags))
     assert identical == (kind == "identical")
     full = Configuration(a.flags).all_deltas() == Configuration(b.flags).all_deltas()
-    assert full == (kind != "unequal")
+    assert full == (m % 2 == 0 if kind == "center" else kind != "unequal")
     assert a.same_point(b) == b.same_point(a) == full
 
 
@@ -523,6 +527,40 @@ def test_same_point_on_identical_representatives_does_no_arithmetic(monkeypatch)
     monkeypatch.setattr(flags, "_det_cleared", refuse)
     assert a.same_point(b) and b.same_point(a)
     assert a._deltas == {} and b._deltas == {}
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_same_point_on_negated_representatives_does_no_arithmetic(monkeypatch, m):
+    # at even m, -I has det 1: negating every flag is the global action of
+    # a unimodular matrix, which the negated clearings decide at once
+    a = random_positive(5, m, 43)
+    b = Configuration([f.scale_rows([-1] * m) for f in a.flags])
+
+    def refuse(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(flags, "_det_cleared", refuse)
+    assert a.same_point(b) and b.same_point(a)
+    assert a._deltas == {} and b._deltas == {}
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([2, 4, 6, 8]), st.integers(0, 10 ** 6), st.data())
+def test_wrapped_flags_are_negated_as_scale_rows_negates_them(m, seed, data):
+    # _shifted negates the int rows of each wrapped flag under the same row
+    # scales; a held clearing is reduced, so that is scale_rows' clearing,
+    # on library flags and on outside input L F through the checked constructor
+    c = random_positive(3, m, seed)
+    entries = st.integers(-4, 4).filter(bool)
+    lower = [[data.draw(entries) if j < i else int(i == j) for j in range(m)]
+             for i in range(m)]
+    moved = DecoratedFlag(mat_mul(Mat(lower), c.flags[0].rep))
+    for fs in (c.flags, reverse(c).flags, (moved, *c.flags[1:])):
+        k = data.draw(st.integers(1, 3))
+        out = flags._shifted(fs, k)
+        for f, g in zip(fs[:k], out.flags[3 - k:], strict=True):
+            ref = f.scale_rows([-1] * m)
+            assert (g._ints, g._scales, g._det) == (ref._ints, ref._scales, ref._det)
 
 
 def test_same_point_stops_at_the_first_differing_coordinate():
