@@ -25,14 +25,16 @@ triangulation T:
      key comes in, since inside faces share edges; their images, sorted,
      join the faces kept.
 
-The exchange program of one m is a sequence of C(m, 3) mutations of the
-Fock-Goncharov quiver of a triangle, the octahedron-recurrence form of the
-reversal (Henriques-Kamnitzer).  Every step is subtraction free, so the
-result is positive by construction.  A configuration acts through its chart
-values on the fan at vertex 1: one that ``charts_to_flags`` built holds
-them, and ``flags_to_charts`` reads them off any other.  It is rebuilt once
-on the way out; the rebuilt flags depend only on the point, not on its
-chart.
+The exchange program of one m is C(m, 3) steps, written down by weight as
+the flip's is.  They are the octahedron-recurrence form of the reversal
+(Henriques-Kamnitzer): mutations of the Fock-Goncharov quiver of a
+triangle, with its edge values frozen, so each step reads its interior
+neighbours or, next to an edge, edge values.  Every step is subtraction
+free, so the result is positive by construction.  A configuration acts
+through its chart values on the fan at vertex 1: one that
+``charts_to_flags`` built holds them, and ``flags_to_charts`` reads them
+off any other.  It is rebuilt once on the way out; the rebuilt flags depend
+only on the point, not on its chart.
 
 The relation set (involutivity, disjoint commutation, nesting) is treated
 as a hypothesis: verify_relations samples random positive points, checks
@@ -109,42 +111,37 @@ def underlying_permutation(word, n):
 
 @lru_cache(maxsize=None)
 def _reversal_program(m):
-    """The exchange steps that reverse the interior values of one triangle.
+    """The exchange steps that reverse the interior values of one triangle,
+    in closed form by weight.
 
     The points are the weights ``admissible_indices(3, m)``, referred to by
-    position.  The quiver is Fock-Goncharov's: arrows w -> w + (1, 0, -1),
-    w -> w + (-1, 1, 0) and w -> w + (0, -1, 1), none joining two points of
-    one edge.  For l = 1..m-2 the interior points with k >= m-1-l are
-    mutated in ascending (k, i) order.  A step (t, out, inc, t) replaces x[t]
-    by (prod x[out] + prod x[inc]) / x[t], a position repeated once per arrow.
-    After the C(m, 3) steps, the reversed triangle has value x(j, k, i) at
-    interior weight (i, j, k).
+    position.  A step (t, out, inc, t) replaces x[t] by (prod x[out] + prod
+    x[inc]) / x[t].  For l = 1..m-2, each interior weight (i, j, k) with
+    k >= m-1-l is exchanged, in ascending (k, i) order, having been
+    exchanged r = l + k - m + 1 times before.  Its out is (i+1, j, k-1) and
+    (i-1, j, k+1), and its inc (i, j+1, k-1) and (i, j-1, k+1), save that
+    the second on an edge gives way to two edge values: (0, j+1+r, m-j-1-r)
+    and (1+r, 0, m-1-r) in out at i = 1, and (0, 1+r, m-1-r) and
+    (i+1+r, 0, m-1-i-r) in inc at j = 1.  After the C(m, 3) steps, the
+    reversed triangle has value x(j, k, i) at interior weight (i, j, k).
     """
-    pts = admissible_indices(3, m)
-    pos = {w: s for s, w in enumerate(pts)}
-    b = [[0] * len(pts) for _ in pts]
-    for u in pts:
-        for d in ((1, 0, -1), (-1, 1, 0), (0, -1, 1)):
-            v = tuple(x + y for x, y in zip(u, d))
-            if v in pos and not any(x == y == 0 for x, y in zip(u, v)):
-                b[pos[u]][pos[v]] += 1
-                b[pos[v]][pos[u]] -= 1
+    pos = {w: s for s, w in enumerate(admissible_indices(3, m))}
     steps = []
     for level in range(1, m - 1):
-        for w in sorted((w for w in pts if min(w) and w[2] >= m - 1 - level),
-                        key=lambda w: (w[2], w[0])):
-            t = pos[w]
-            row = b[t]
-            steps.append((t, tuple(s for s, e in enumerate(row) for _ in range(e)),
-                          tuple(s for s, e in enumerate(row) for _ in range(-e)), t))
-            # quiver mutation at t
-            for r in b:
-                if r is not row and r[t]:
-                    for s, e in enumerate(row):
-                        r[s] += (abs(r[t]) * e + r[t] * abs(e)) // 2
-            for r in b:
-                r[t] = -r[t]
-            b[t] = [-e for e in row]
+        for k in range(m - 1 - level, m - 1):
+            r = level + k - m + 1
+            for i in range(1, m - k):
+                j = m - i - k
+                out = [(i + 1, j, k - 1), (i - 1, j, k + 1)]
+                inc = [(i, j + 1, k - 1), (i, j - 1, k + 1)]
+                # a neighbour on an edge stands for two frozen edge values
+                if i == 1:
+                    out[1:] = (0, j + 1 + r, m - j - 1 - r), (1 + r, 0, m - 1 - r)
+                if j == 1:
+                    inc[1:] = (0, 1 + r, m - 1 - r), (i + 1 + r, 0, m - 1 - i - r)
+                t = pos[i, j, k]
+                steps.append((t, tuple(sorted(pos[w] for w in out)),
+                              tuple(sorted(pos[w] for w in inc)), t))
     return tuple(steps)
 
 

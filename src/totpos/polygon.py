@@ -106,7 +106,7 @@ class Triangulation:
     def fan(n, apex=1):
         """The triangulation whose diagonals all end at ``apex``, one shared
         object per (n, apex): no triangulation is ever changed."""
-        if type(n) is not int or n < 3 or not 1 <= apex <= n:
+        if type(n) is not int or type(apex) is not int or n < 3 or not 1 <= apex <= n:
             raise PolygonError("no fan at vertex %r of the %r-gon" % (apex, n))
         return _fan(n, apex)
 
@@ -132,19 +132,16 @@ class Triangulation:
 
     def quadrilateral(self, d):
         """The four vertices around diagonal d, in cyclic order (a, b, c, e)
-        with d = {a, c}."""
-        d = tuple(sorted(d))
+        with d = {a, c} and a < c: the faces (a, b, c) and (c, e, a) beyond
+        its two sides."""
+        a, c = d = tuple(sorted(d))
         if d not in self.diagonals:
             raise PolygonError("%s is not a diagonal" % (d,))
-        adjacent = [f for f in self._faces if d[0] in f and d[1] in f]
-        if len(adjacent) != 2:
-            raise PolygonError("diagonal %s borders %d faces, not 2" % (d, len(adjacent)))
-        q1, q2, q3, q4 = sorted(set(adjacent[0]) | set(adjacent[1]))
-        if d == (q1, q3):
-            return (q1, q2, q3, q4)
-        if d != (q2, q4):
-            raise PolygonError("diagonal %s is not a diagonal of its quadrilateral" % (d,))
-        return (q2, q3, q4, q1)
+        beyond = _beyond(self)
+        b, e = beyond.get((c, a)), beyond.get((a, c))
+        if b is None or e is None:  # only a trusted, inconsistent face list
+            raise PolygonError("diagonal %s does not border two faces" % (d,))
+        return (a, b, c, e)
 
     def flip(self, d):
         """Replace diagonal d by the opposite diagonal of its quadrilateral."""
@@ -159,7 +156,7 @@ class Triangulation:
         return cls(data["n"], data["diagonals"])
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _fan(n, apex):
     return Triangulation._of_chords(n, [(apex, v) for v in range(1, n + 1)])
 

@@ -227,6 +227,48 @@ def reversal_sign_cases(c):
     return cases
 
 
+def _reversal_program_reference(m):
+    """The exchange steps that reverse the interior values of one triangle,
+    by the quiver mutations the library no longer simulates: the oracle for
+    the closed form of cactus._reversal_program.
+
+    The points are the weights ``admissible_indices(3, m)``, referred to by
+    position.  The quiver is Fock-Goncharov's: arrows w -> w + (1, 0, -1),
+    w -> w + (-1, 1, 0) and w -> w + (0, -1, 1), none joining two points of
+    one edge.  For l = 1..m-2 the interior points with k >= m-1-l are
+    mutated in ascending (k, i) order.  A step (t, out, inc, t) replaces x[t]
+    by (prod x[out] + prod x[inc]) / x[t], a position repeated once per arrow.
+    After the C(m, 3) steps, the reversed triangle has value x(j, k, i) at
+    interior weight (i, j, k).
+    """
+    pts = admissible_indices(3, m)
+    pos = {w: s for s, w in enumerate(pts)}
+    b = [[0] * len(pts) for _ in pts]
+    for u in pts:
+        for d in ((1, 0, -1), (-1, 1, 0), (0, -1, 1)):
+            v = tuple(x + y for x, y in zip(u, d))
+            if v in pos and not any(x == y == 0 for x, y in zip(u, v)):
+                b[pos[u]][pos[v]] += 1
+                b[pos[v]][pos[u]] -= 1
+    steps = []
+    for level in range(1, m - 1):
+        for w in sorted((w for w in pts if min(w) and w[2] >= m - 1 - level),
+                        key=lambda w: (w[2], w[0])):
+            t = pos[w]
+            row = b[t]
+            steps.append((t, tuple(s for s, e in enumerate(row) for _ in range(e)),
+                          tuple(s for s, e in enumerate(row) for _ in range(-e)), t))
+            # quiver mutation at t
+            for r in b:
+                if r is not row and r[t]:
+                    for s, e in enumerate(row):
+                        r[s] += (abs(r[t]) * e + r[t] * abs(e)) // 2
+            for r in b:
+                r[t] = -r[t]
+            b[t] = [-e for e in row]
+    return tuple(steps)
+
+
 def act_on_chart_reference(p, g):
     """The interval reversal g on the chart point p by the whole-chart
     relabel the library no longer takes: the oracle for the face-by-face

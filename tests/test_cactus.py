@@ -14,7 +14,8 @@ import totpos.cactus as cactus_module
 import totpos.mutation as mutation
 import totpos.rational as rational
 
-from conftest import act_on_chart_reference, relabel, sign_normalize, triangulations
+from conftest import (act_on_chart_reference, relabel, sign_normalize, triangulations,
+                      _reversal_program_reference)
 
 
 def _adapted_triangulation(n, iv):
@@ -258,6 +259,12 @@ def test_exchange_program_is_theta_on_triangle_interiors(m, seed):
         if i and j and k:
             assert rev.delta((i, j, k)) == after[j, k, i]
     assert len(_reversal_program(m)) == m * (m - 1) * (m - 2) // 6
+
+
+@pytest.mark.parametrize("m", range(2, 15))
+def test_reversal_program_closed_form_is_the_quiver_mutations(m):
+    # CI takes m = 15..24, where the simulation takes seconds
+    assert _reversal_program(m) == _reversal_program_reference(m)
 
 
 def test_chart_action_runs_no_elimination(monkeypatch):

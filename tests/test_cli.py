@@ -94,6 +94,9 @@ def test_verify_commands_pass():
                          "--trials", "3", "--seed", "3"])
     assert code == 0
     assert [r["relation"] for r in json.loads(out)] == ["R1", "R2", "R3"]
+    code, out = run_cli(["verify-axioms", "--axiom", "glue", "--trials", "2"])
+    assert code == 0
+    assert [(r["axiom"], r["passes"]) for r in json.loads(out)] == [("glue", 2)]
 
 
 def test_verify_axioms_exit_one_on_failure(monkeypatch):
@@ -106,11 +109,14 @@ def test_verify_axioms_exit_one_on_failure(monkeypatch):
     assert json.loads(out)[0]["counterexample"] is not None
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     assert run_cli(["gen", "4"])[0] == 2
     assert run_cli(["delta", "-", "--index", "9,9"], '{"bad": 1}')[0] == 2
     _, cfg = run_cli(["gen", "4", "2", "--seed", "7"])
     assert run_cli(["delta", "-", "--index", "9,9"], cfg)[0] == 2
+    capsys.readouterr()
+    assert run_cli(["delta", "-", "--index", "1,x"], cfg) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {"error": "bad index '1,x'"}
     assert run_cli(["delta", "-", "--index", "1,1,0,0"], "not json")[0] == 2
     assert run_cli(["nonsense"])[0] == 2
     _, chart = run_cli(["charts", "-"], cfg)
@@ -205,6 +211,8 @@ def test_parser_is_built_once_and_reused():
                                   ["gen", "5", "2", "--bound", "0"],
                                   ["verify-axioms", "--trials", "-2"],
                                   ["verify-axioms", "--trials", "0"],
+                                  ["verify-axioms", "--axiom", "9"],
+                                  ["verify-axioms", "--axiom", "x"],
                                   ["verify-cactus", "--trials", "-2"],
                                   ["verify-cactus", "--trials", "0"]])
 def test_out_of_range_sizes_exit_two(capsys, args):

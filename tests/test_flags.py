@@ -11,7 +11,7 @@ from totpos.rational import Mat, det, _integer_clearing
 from totpos.flags import (DecoratedFlag, Configuration, admissible_indices,
                           check_index, rotate, rotate_inv, face, iota, theta,
                           reverse, FlagError, NotGenericError)
-from totpos.polygon import Triangulation, ChartPoint, index_at
+from totpos.polygon import Triangulation, ChartPoint, PolygonError, chart_indices, index_at
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 from totpos.cactus import IntervalGen, act_word
@@ -593,3 +593,32 @@ def test_only_the_public_delta_checks_its_index(monkeypatch):
     assert calls == []
     assert c.delta((1, 0, 2, 0, 0)) == c.all_deltas()[(1, 0, 2, 0, 0)]
     assert calls == [(1, 0, 2, 0, 0)]
+
+
+_TRIANGLE, _SQUARE = random_positive(3, 2, 0), random_positive(4, 2, 0)
+
+_INVALID_SHAPES = {
+    "2x3-flag": (FlagError, lambda: DecoratedFlag(Mat([[1, 0, 0], [0, 1, 0]]))),
+    "one-flag": (FlagError, lambda: Configuration(_TRIANGLE.flags[:1])),
+    "mixed-m": (FlagError, lambda: Configuration([_TRIANGLE.flags[0],
+                                                 random_positive(3, 3, 0).flags[1]])),
+    "rotate-4-flags": (FlagError, lambda: rotate(_SQUARE)),
+    "rotate_inv-4-flags": (FlagError, lambda: rotate_inv(_SQUARE)),
+    "face-of-4-flags": (FlagError, lambda: face(_SQUARE, 1)),
+    "theta-4-flags": (FlagError, lambda: theta(_SQUARE)),
+    "iota-triangle": (FlagError, lambda: iota(_TRIANGLE)),
+    "face-0": (FlagError, lambda: face(_TRIANGLE, 0)),
+    "face-4": (FlagError, lambda: face(_TRIANGLE, 4)),
+    "random-n-2": (FlagError, lambda: random_positive(2, 2, 0)),
+    "triangle-on-square": (PolygonError, lambda: flags_to_charts(_TRIANGLE, Triangulation.fan(4))),
+    "chart-m-1": (PolygonError, lambda: chart_indices(Triangulation.fan(4), 1)),
+    "2-gon": (PolygonError, lambda: Triangulation(2, [])),
+}
+
+
+@pytest.mark.parametrize("name", _INVALID_SHAPES)
+def test_invalid_shapes_raise_their_layer_error(name):
+    error, call = _INVALID_SHAPES[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error

@@ -62,7 +62,8 @@ def test_fans_match_the_public_constructor():
                                        if not _adjacent_or_equal(apex, v, n)])
             assert t.diagonals == public.diagonals
             assert t.triangles() == public.triangles()
-    for n, apex in [(2, 1), (5.0, 1), (5, 0), (5, 6)]:
+    # a bool apex too, whose fan to_json would write as from_json rejects it
+    for n, apex in [(2, 1), (5.0, 1), (5, 0), (5, 6), (5, True), (5, 2.5)]:
         with pytest.raises(PolygonError):
             Triangulation.fan(n, apex)
 
