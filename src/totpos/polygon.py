@@ -283,22 +283,9 @@ class ChartPoint:
     __slots__ = ("triangulation", "m", "values")
 
     def __init__(self, triangulation, m, values):
-        if type(m) is not int:
-            raise PolygonError("m must be an integer, got %r" % (m,))
-        values = {tuple(k): scalar(v) for k, v in values.items()}
-        # the closed-form count first, so that enumerating the chart indices
-        # is bounded by the size of the input
-        count = chart_dimension(triangulation.n, m)
-        if len(values) != count or sorted(values) != chart_indices(triangulation, m):
-            raise PolygonError("chart values must be keyed by exactly the %d chart "
-                               "indices" % count)
-        for k, v in values.items():
-            if v <= 0:
-                raise PolygonError("chart value at %s is %s, not positive"
-                                   % (k, scalar_str(v)))
+        self.values = _checked_values(triangulation, m, values)
         self.triangulation = triangulation
         self.m = m
-        self.values = values
 
     @classmethod
     def _of(cls, triangulation, m, values):
@@ -320,31 +307,61 @@ class ChartPoint:
         return "ChartPoint(%r, m=%d)" % (self.triangulation, self.m)
 
     def to_json(self):
+        key = _key_format(self.triangulation.n)
         return {
             "triangulation": self.triangulation.to_json(),
             "m": self.m,
-            "values": {",".join(map(str, k)): scalar_str(v)
-                       for k, v in sorted(self.values.items())},
+            "values": {key % k: scalar_str(v) for k, v in sorted(self.values.items())},
         }
 
     @classmethod
     def from_json(cls, data):
         """Each key is read by one lookup of its ``to_json`` spelling, and parsed
-        only when it is not one; the checked constructor validates the point."""
+        only when it is not one; the constructor's checks validate the point,
+        on the one enumeration of the chart indices that spelled the keys."""
         t = Triangulation.from_json(data["triangulation"])
         values = data["values"]
         if not isinstance(values, dict):
             raise PolygonError("chart values must be an object keyed by chart indices")
-        m, spelling = data["m"], {}
+        m, spelling, indices = data["m"], {}, None
         if type(m) is int and m >= 2 and len(values) == chart_dimension(t.n, m):
-            spelling = {",".join(map(str, idx)): idx for idx in chart_indices(t, m)}
-        return cls(t, m, {spelling.get(k) or _parse_key(k): v for k, v in values.items()})
+            indices = chart_indices(t, m)
+            key = _key_format(t.n)
+            spelling = {key % idx: idx for idx in indices}
+        values = {spelling.get(k) or _parse_key(k): v for k, v in values.items()}
+        return cls._of(t, m, _checked_values(t, m, values, indices))
+
+
+def _checked_values(triangulation, m, values, indices=None):
+    """The values as a dict of positive Fractions keyed by exactly the chart
+    indices, ``indices`` when the caller has enumerated them."""
+    if type(m) is not int:
+        raise PolygonError("m must be an integer, got %r" % (m,))
+    values = {tuple(k): scalar(v) for k, v in values.items()}
+    # the closed-form count first, so that enumerating the chart indices
+    # is bounded by the size of the input
+    count = chart_dimension(triangulation.n, m)
+    if len(values) != count or sorted(values) != (indices or chart_indices(triangulation, m)):
+        raise PolygonError("chart values must be keyed by exactly the %d chart "
+                           "indices" % count)
+    for k, v in values.items():
+        if v.numerator <= 0:  # a Fraction carries its sign on the numerator
+            raise PolygonError("chart value at %s is %s, not positive"
+                               % (k, scalar_str(v)))
+    return values
+
+
+@lru_cache(maxsize=256)
+def _key_format(n):
+    """The %-format that spells a chart index of length n as ``to_json`` does,
+    "i,j,...,k"; the cache is bounded, as a malformed key may be any length."""
+    return ",".join(["%d"] * n)
 
 
 def _parse_key(k):
     """The index k spells, in ``to_json``'s spelling only: no value shadows another."""
     idx = tuple(int(x) for x in k.split(","))
-    form = ",".join(map(str, idx))
+    form = _key_format(len(idx)) % idx
     if k != form:
         raise PolygonError("chart index %r is not in the form %r" % (k, form))
     return idx

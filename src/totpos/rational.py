@@ -2,7 +2,10 @@
 
 Scalars are ``fractions.Fraction`` throughout: always in canonical reduced
 form, with the sign carried on the numerator.  They serialize as the string
-``"p/q"`` (or just ``"p"`` when the denominator is 1).
+``"p/q"`` (or just ``"p"`` when the denominator is 1).  ``scalar`` reads
+that form, signed, with int() alone, and hands every other string to
+``Fraction(str)``, so it accepts exactly the strings Fraction does and
+raises its errors.
 
 Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
 constructor coerces every entry through ``scalar`` (so it rejects floats);
@@ -40,14 +43,24 @@ class SingularMatrixError(ValueError):
 def scalar(x):
     """Coerce ints, strings like "p/q", and Fractions to a canonical Fraction.
 
-    Floats and booleans raise TypeError, and a string with a zero
-    denominator ValueError.
+    A string ``p``, ``-p``, ``p/q`` or ``-p/q`` of decimal digits
+    (``str.isdecimal``), with a nonzero denominator, is read with int()
+    alone; every other string goes to ``Fraction(str)``, so the accepted set
+    and the errors are Fraction's.  Floats and booleans raise TypeError, and
+    a string with a zero denominator ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers; got %r" % x)
     if isinstance(x, str):
+        p, slash, q = x.partition("/")
+        if (p[1:] if p[:1] == "-" else p).isdecimal() and (not slash or q.isdecimal()):
+            # the numerator first, as Fraction reads it: the first to exceed
+            # the digit limit names its length
+            num, den = int(p), int(q) if slash else 1
+            if den:
+                return Fraction(num, den)
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -18,6 +18,37 @@ from totpos.mutation import _run_program
 from totpos.cactus import _reversal_program, _with_chord
 
 
+# the characters at which scalar's int fast path and Fraction(str) could
+# part: digits, signs, the slash, a decimal point, an exponent, an
+# underscore, a space, ARABIC-INDIC DIGIT ONE (a decimal digit) and
+# SUPERSCRIPT TWO (a digit that is not decimal)
+SCALAR_ALPHABET = "0123456789-+/.e_ \u0661\u00b2"
+
+
+def small_exponent(s):
+    """Whether an exponent in s has at most four characters: Fraction reads
+    "1e9999999" as an int of 10**7 digits, which takes seconds to form."""
+    return len(s.partition("e")[2]) <= 4
+
+
+def scalar_reference(s):
+    """scalar(s) for a string s, read by Fraction(s) alone, with no int fast path."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % s) from None
+
+
+def scalar_outcome(read, s):
+    """What read(s) gives: the class, numerator and denominator of its value,
+    or the class and message of the exception it raises."""
+    try:
+        x = read(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), x.numerator, x.denominator
+
+
 def det_oracle(m):
     """Independent determinant by cofactor expansion along the first row."""
     n = m.rows

@@ -341,18 +341,43 @@ _MALFORMED_CHARTS = {
     "negative": lambda v, k: dict(v, **{k: "-1/2"}),
     "float": lambda v, k: dict(v, **{k: 1.5}),
     "bool": lambda v, k: dict(v, **{k: True}),
+    "zero over 5": lambda v, k: dict(v, **{k: "0/5"}),
+    "over 0": lambda v, k: dict(v, **{k: "1/0"}),
+    "over 00": lambda v, k: dict(v, **{k: "1/00"}),
+    "null": lambda v, k: dict(v, **{k: None}),
+}
+
+_KEYED = "chart values must be keyed by exactly the %d chart indices"
+_NOT_POSITIVE = "chart value at (0, 0, 1, 2, 0) is %s, not positive"
+_FORM = "chart index %r is not in the form %r"
+# the message of each fault, keyed by its name or its declared m
+_CHART_MESSAGES = {
+    "00,": _FORM % ("00,0,1,2,0", "0,0,1,2,0"),
+    " 1,": _FORM % (" 1,0,0,0,2", "1,0,0,0,2"),
+    "+1,": _FORM % ("+1,0,0,0,2", "1,0,0,0,2"),
+    "missing key": _KEYED % 17, "extra key": _KEYED % 17, "not a chart index": _KEYED % 17,
+    "zero": _NOT_POSITIVE % "0", "zero over 5": _NOT_POSITIVE % "0",
+    "negative": _NOT_POSITIVE % "-1/2",
+    "float": "floats are not exact; got 1.5", "bool": "booleans are not numbers; got True",
+    "over 0": "zero denominator in '1/0'", "over 00": "zero denominator in '1/00'",
+    "null": "argument should be a string or a Rational instance",
+    3.0: "m must be an integer, got 3.0", "3": "m must be an integer, got '3'",
+    1: "need n >= 3 and m >= 2", 2: _KEYED % 7, 4: _KEYED % 30,
+    "values a list": "chart values must be an object keyed by chart indices",
 }
 
 
 @pytest.mark.parametrize("fault,error", [
-    *[(name, TypeError if name in ("float", "bool") else polygon.PolygonError)
+    *[(name, TypeError if name in ("float", "bool", "null") else
+       ValueError if name.startswith("over") else polygon.PolygonError)
       for name in _MALFORMED_CHARTS],
-    *[(m, polygon.PolygonError) for m in (3.0, "3", 1)],
+    *[(m, polygon.PolygonError) for m in (3.0, "3", 1, 2, 4)],
     ("values a list", polygon.PolygonError)])
 def test_malformed_chart_documents_raise_and_exit_two(capsys, fault, error):
-    # the exception classes of the reader that parsed every key; on the fan
-    # at 1, "0,0,1,2,0" and "1,0,0,0,2" are keys and (0, 1, 0, 1, 1) is no
-    # chart index
+    # the exception classes and messages of the reader that parsed every key
+    # and every value with Fraction(str), in process and on stderr; on the
+    # fan at 1, "0,0,1,2,0" and "1,0,0,0,2" are keys and (0, 1, 0, 1, 1) is
+    # no chart index
     data = json.loads(_gen_chart(5, 3)[1])
     values, key = data["values"], "0,0,1,2,0"
     assert {key, "1,0,0,0,2"} <= set(values) and "0,1,0,1,1" not in values
@@ -364,8 +389,10 @@ def test_malformed_chart_documents_raise_and_exit_two(capsys, fault, error):
         data["m"] = fault
     with pytest.raises(error) as info:
         polygon.ChartPoint.from_json(data)
-    assert ("not in the form" in str(info.value)) == (fault in ("00,", " 1,", "+1,"))
-    _exits_two(capsys, ["flip", "-", "--diagonal", "1-3"], json.dumps(data))
+    message = _CHART_MESSAGES[fault]
+    assert type(info.value) is error and str(info.value) == message
+    assert run_cli(["flip", "-", "--diagonal", "1-3"], json.dumps(data)) == (2, "")
+    assert json.loads(capsys.readouterr().err) == {"error": "not a ChartPoint: " + message}
 
 
 # sha256 of the `gen N M --seed 1` stdout, recorded from the reconstruction

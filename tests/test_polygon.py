@@ -1,10 +1,12 @@
 import json
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from totpos import polygon
 from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             chart_dimension, flip_path, glue_check,
                             edge_values, cyclic_interval, chords_cross,
@@ -281,6 +283,29 @@ def test_chart_point_from_json_keeps_its_checks():
         ChartPoint.from_json(dict(good, values=[]))
     with pytest.raises(ValueError, match="zero denominator"):
         ChartPoint.from_json(dict(good, values=dict(good["values"], **{keys[0]: "1/0"})))
+
+
+def test_chart_point_json_enumerates_the_chart_once_and_spells_keys_as_str(monkeypatch):
+    # one enumeration spells the keys and checks the key set
+    calls = []
+
+    def counted(t, m):
+        calls.append((t, m))
+        return chart_indices(t, m)
+
+    p = random_chart_point(random_triangulation(10, 3), 3, 7)
+    doc = json.loads(json.dumps(p.to_json()))
+    monkeypatch.setattr(polygon, "chart_indices", counted)
+    assert ChartPoint.from_json(doc) == p
+    assert calls == [(p.triangulation, 3)]
+    monkeypatch.undo()
+    # the cached format spells each key as str does, two-digit weights too
+    for n in range(3, 13):
+        for m in range(2, 13):
+            t = random_triangulation(n, m)
+            q = ChartPoint._of(t, m, dict.fromkeys(chart_indices(t, m), Fraction(1)))
+            assert list(q.to_json()["values"]) == [",".join(map(str, k))
+                                                   for k in sorted(q.values)]
 
 
 @settings(deadline=None, max_examples=100)

@@ -1,13 +1,16 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from totpos import rational
 from totpos.rational import (Mat, det, scalar, scalar_str, SingularMatrixError,
                              _clear_ratio, _clear_row, _integer_clearing)
 
-from conftest import (add_multiple_of_row, cofactor_ints, det_oracle, identity,
-                      inverse, mat_mul, solve, transpose)
+from conftest import (SCALAR_ALPHABET, add_multiple_of_row, cofactor_ints, det_oracle,
+                      identity, inverse, mat_mul, scalar_outcome, scalar_reference,
+                      small_exponent, solve, transpose)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
@@ -81,6 +84,51 @@ def test_scalar_rejects_floats():
 def test_scalar_parses_strings():
     assert scalar("-3/7") == Fraction(-3, 7)
     assert scalar_str(Fraction(4, 2)) == "2"
+
+
+_BIG = "7" * 5000  # over Python's 4,300-digit limit on int(str)
+
+SCALAR_STRINGS = [
+    "-6/-4", "3/-4", "--3", "-", "", "3/", "/4", "0/0", "3/00", " 3/4", "+3",
+    "1_0", "1.5", "1e3", "\u0661\u0662/\u0663", "\u00b2", "-0/7", "007/003",
+    "3/\u0660\u0660", "-62351/204288", "12", "-12", _BIG, "-" + _BIG, "3/" + _BIG, "-" + _BIG + "/3",
+]
+
+
+@pytest.mark.parametrize("s", SCALAR_STRINGS,
+                         ids=lambda s: ascii(s) if len(s) < 20 else "%d chars" % len(s))
+def test_scalar_reads_strings_as_fraction_does(s):
+    outcome = scalar_outcome(scalar, s)
+    assert outcome == scalar_outcome(scalar_reference, s)
+    if _BIG in s:
+        assert outcome[0] is ValueError and "Exceeds the limit" in outcome[1]
+
+
+@given(st.text(alphabet=SCALAR_ALPHABET, max_size=12).filter(small_exponent))
+def test_scalar_agrees_with_fraction_on_random_strings(s):
+    assert scalar_outcome(scalar, s) == scalar_outcome(scalar_reference, s)
+
+
+def test_scalar_reads_every_decimal_digit_as_fraction_does():
+    # int() and Fraction's regex read any Unicode decimal digit, as
+    # str.isdecimal finds them
+    digits = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isdecimal()]
+    assert len(digits) > 10
+    for d in digits:
+        for s in (d, "-" + d + d, d + "/" + d, "-" + d + "/" + d + d):
+            assert scalar_outcome(scalar, s) == scalar_outcome(scalar_reference, s), s
+
+
+@pytest.mark.parametrize("s", ["7", "-7", "007/003", "-0/7", "-62351/204288",
+                               "\u0661\u0662/\u0663"])
+def test_scalar_reads_signed_ratios_with_ints_alone(monkeypatch, s):
+    class IntsOnly(Fraction):
+        def __new__(cls, *args):
+            assert all(type(a) is int for a in args), args
+            return Fraction(*args)
+
+    monkeypatch.setattr(rational, "Fraction", IntsOnly)
+    assert scalar(s) == Fraction(s)
 
 
 @settings(max_examples=40)
