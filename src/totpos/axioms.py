@@ -4,7 +4,8 @@ Each check samples random positive points, tests one identity with exact
 rational equality, and aggregates an AxiomReport dict: axiom id, trial
 count, pass count, and the first counterexample (serialized input) or
 None.  Failures are data, never exceptions; reports are reproducible
-per seed.
+per seed.  ``AXIOMS`` maps each axiom id to its sampler and its identity,
+whose docstring states it.
 
 Conventions used throughout (squares live on the diagonal-{1,3} chart):
 half turn is the relabeling (3,4,1,2), quarter turn is (2,3,4,1), and the
@@ -12,8 +13,10 @@ double reversal in the commuting-square identity reflects the square
 across its own diagonal with orthogonal flags.
 """
 
+from functools import partial, reduce
+
 from .flags import Configuration, _shifted, reverse, rotate, rotate_inv, face, iota, theta
-from .polygon import Triangulation, ChartPoint, chart_indices, glue_check
+from .polygon import Triangulation, ChartPoint, glue_check
 from .mutation import flip_transport
 from .reconstruct import (flags_to_charts, charts_to_flags,
                           random_positive, random_chart_point)
@@ -35,15 +38,9 @@ def relabel_chart(p, perm):
     chart values of positive configurations, hence positive.
     """
     t = p.triangulation
-    n = t.n
-    inv = {perm[i - 1]: i for i in range(1, n + 1)}
-    new_t = Triangulation._of_chords(n, [(inv[a], inv[b]) for a, b in t.diagonals])
-    values = {}
-    for idx in chart_indices(new_t, p.m):
-        old = [0] * n
-        for i in range(n):
-            old[perm[i] - 1] = idx[i]
-        values[idx] = p.values[tuple(old)]
+    inv = {v: i for i, v in enumerate(perm, 1)}
+    new_t = Triangulation._of_chords(t.n, [(inv[a], inv[b]) for a, b in t.diagonals])
+    values = {tuple(idx[v - 1] for v in perm): x for idx, x in p.values.items()}
     return ChartPoint._of(new_t, p.m, values)
 
 
@@ -54,6 +51,67 @@ def double_reversal(p):
     d = tuple(sorted(next(iter(p.triangulation.diagonals))))
     flipped = _shifted(reverse(charts_to_flags(p)).flags, DIAGONAL_SHIFTS[d])
     return flags_to_charts(flipped, p.triangulation)
+
+
+def _flip_keeps_boundary(p):
+    """Axiom 1: the flip preserves the square's boundary-edge values."""
+    q = flip_transport(p, (1, 3))
+    return all(q.values[idx] == v for idx, v in p.values.items()
+               if idx.count(0) == 2 and idx[0] + idx[2] != p.m)
+
+
+def _flip_commutes(perm, d):
+    """Axioms 2 and 3: the flip commutes with the relabeling perm, which
+    takes the diagonal {1, 3} to d."""
+    def identity(p):
+        return (flip_transport(relabel_chart(p, perm), d)
+                == relabel_chart(flip_transport(p, (1, 3)), perm))
+    return identity
+
+
+def _pentagon_cycle(p):
+    """Axiom 4: the pentagon 5-cycle of flips is the identity."""
+    return reduce(flip_transport, PENTAGON_FLIPS, p) == p
+
+
+def _reversed_faces(c):
+    """Axiom 5: the faces of the reversed triangle are the twisted opposite faces."""
+    tc = theta(c)
+    return all(face(tc, i).same_point(iota(face(c, 4 - i))) for i in (1, 2, 3))
+
+
+def _rotation_conjugated(c):
+    """Axiom 6: the reversal conjugates the rotation to its inverse."""
+    return theta(rotate(c)).same_point(rotate_inv(theta(c)))
+
+
+def _positive_involution(c):
+    """Axiom 7: the reversal is a positivity-preserving involution."""
+    tc = theta(c)
+    return tc.is_positive() and theta(tc).same_point(c)
+
+
+def _flip_double_reversal(p):
+    """Axiom 8: the flip commutes with the double reversal up to a half turn."""
+    return (flip_transport(double_reversal(p), (1, 3))
+            == double_reversal(flip_transport(relabel_chart(p, HALF_TURN), (1, 3))))
+
+
+_square = partial(random_chart_point, SQUARE)
+_pentagon = partial(random_chart_point, Triangulation.fan(5))
+_triangle = partial(random_positive, 3)
+
+# axiom id -> (sampler(m, seed), identity(point))
+AXIOMS = {
+    1: (_square, _flip_keeps_boundary),
+    2: (_square, _flip_commutes(HALF_TURN, (1, 3))),
+    3: (_square, _flip_commutes(QUARTER_TURN, (2, 4))),
+    4: (_pentagon, _pentagon_cycle),
+    5: (_triangle, _reversed_faces),
+    6: (_triangle, _rotation_conjugated),
+    7: (_triangle, _positive_involution),
+    8: (_square, _flip_double_reversal),
+}
 
 
 def _report(axiom, trials, check, sample):
@@ -68,78 +126,12 @@ def _report(axiom, trials, check, sample):
 
 
 def check_axiom(k, m, trials, seed):
-    """Exact verdicts for one axiom over random positive points.
-
-    1 flip preserves boundary-edge values; 2 flip commutes with the half
-    turn; 3 flip intertwines the quarter turn; 4 the pentagon 5-cycle of
-    flips is the identity; 5 faces of the reversed triangle are the
-    twisted opposite faces; 6 reversal conjugates rotation to its inverse;
-    7 the reversal is a positivity-preserving involution; 8 flip commutes
-    with the double reversal up to a half turn.
-    """
-
-    def square(trial):
-        return random_chart_point(SQUARE, m, seed * 1000003 + trial)
-
-    def pentagon(trial):
-        return random_chart_point(Triangulation.fan(5), m, seed * 1000003 + trial)
-
-    def triangle(trial):
-        return random_positive(3, m, seed * 1000003 + trial)
-
-    if k == 1:
-        def check(p):
-            q = flip_transport(p, (1, 3))
-            boundary = [idx for idx in p.values
-                        if len([x for x in idx if x]) == 2
-                        and idx[0] + idx[2] != m]
-            return all(q.values[idx] == p.values[idx] for idx in boundary)
-        return _report(1, trials, check, square)
-    if k == 2:
-        def check(p):
-            lhs = flip_transport(relabel_chart(p, HALF_TURN), (1, 3))
-            rhs = relabel_chart(flip_transport(p, (1, 3)), HALF_TURN)
-            return lhs == rhs
-        return _report(2, trials, check, square)
-    if k == 3:
-        def check(p):
-            lhs = flip_transport(relabel_chart(p, QUARTER_TURN), (2, 4))
-            rhs = relabel_chart(flip_transport(p, (1, 3)), QUARTER_TURN)
-            return lhs == rhs
-        return _report(3, trials, check, square)
-    if k == 4:
-        def check(p):
-            q = p
-            for d in PENTAGON_FLIPS:
-                q = flip_transport(q, d)
-            return q == p
-        return _report(4, trials, check, pentagon)
-    if k == 5:
-        def check(c):
-            tc = theta(c)
-            return all(face(tc, i).same_point(iota(face(c, 4 - i)))
-                       for i in (1, 2, 3))
-        return _report(5, trials, check, triangle)
-    if k == 6:
-        def check(c):
-            return theta(rotate(c)).same_point(rotate_inv(theta(c)))
-        return _report(6, trials, check, triangle)
-    if k == 7:
-        def check(c):
-            tc = theta(c)
-            return tc.is_positive() and theta(tc).same_point(c)
-        return _report(7, trials, check, triangle)
-    if k == 8:
-        def check(p):
-            lhs = flip_transport(double_reversal(p), (1, 3))
-            rhs = double_reversal(flip_transport(relabel_chart(p, HALF_TURN), (1, 3)))
-            return lhs == rhs
-        return _report(8, trials, check, square)
-    raise ValueError("axiom id must be 1..8, got %r" % (k,))
-
-
-def _triangle_restriction(c, tri):
-    return Configuration([c.flags[v - 1] for v in tri])
+    """Exact verdicts for axiom ``k`` of ``AXIOMS`` over random positive points."""
+    try:
+        sample, identity = AXIOMS[k]
+    except (KeyError, TypeError):
+        raise ValueError("axiom id must be 1..8, got %r" % (k,)) from None
+    return _report(k, trials, identity, lambda trial: sample(m, seed * 1000003 + trial))
 
 
 def check_glue(m, trials, seed):
@@ -153,8 +145,7 @@ def check_glue(m, trials, seed):
         return random_positive(4, m, seed * 1000003 + trial)
 
     def check(c):
-        a = {tri1: _triangle_restriction(c, tri1),
-             tri2: _triangle_restriction(c, tri2)}
+        a = {tri: Configuration([c.flags[v - 1] for v in tri]) for tri in (tri1, tri2)}
         if not glue_check(a, SQUARE):
             return False
         t3 = Triangulation.fan(3)
@@ -173,5 +164,4 @@ def check_glue(m, trials, seed):
                 return False
         return True
 
-    rep = _report("glue", trials, check, sample)
-    return rep
+    return _report("glue", trials, check, sample)

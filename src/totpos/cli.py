@@ -22,7 +22,7 @@ from .reconstruct import (flags_to_charts, random_positive,
                           ChartValueError)
 from .rational import scalar_str, DigitLimitError
 from .cactus import word_from_json, act_word, verify_relations
-from .axioms import check_axiom, check_glue
+from .axioms import AXIOMS, check_axiom, check_glue
 
 
 class UsageError(ValueError):
@@ -240,22 +240,19 @@ def _cmd_verify_axioms(args):
     # the largest polygon the axioms sample is the pentagon
     _check_sizes(5, m, args.trials)
     if args.axiom == "all":
-        ids = list(range(1, 9)) + ["glue"]
+        ids = [*AXIOMS, "glue"]
     elif args.axiom == "glue":
         ids = ["glue"]
     else:
         try:
-            ids = [int(args.axiom)]
+            k = int(args.axiom)
         except ValueError:
+            k = None
+        if k not in AXIOMS:
             raise UsageError("--axiom must be 1..8, 'glue', or 'all'")
-        if not 1 <= ids[0] <= 8:
-            raise UsageError("--axiom must be 1..8, 'glue', or 'all'")
-    reports = []
-    for k in ids:
-        if k == "glue":
-            reports.append(check_glue(m, args.trials, args.seed))
-        else:
-            reports.append(check_axiom(k, m, args.trials, args.seed))
+        ids = [k]
+    reports = [check_glue(m, args.trials, args.seed) if k == "glue"
+               else check_axiom(k, m, args.trials, args.seed) for k in ids]
     _emit(reports)
     return 0 if all(r["passes"] == r["trials"] for r in reports) else 1
 

@@ -26,13 +26,6 @@ def cyclic_interval(p, q, n):
     return out
 
 
-def chords_cross(d1, d2, n):
-    """Whether two chords of the n-gon cross in the interior."""
-    a, b = sorted(d1)
-    c, d = sorted(d2)
-    return (a < c < b < d) or (c < a < d < b)
-
-
 def _is_boundary(a, b, n):
     a, b = sorted((a, b))
     return b - a == 1 or (a == 1 and b == n)

@@ -5,7 +5,8 @@ form, with the sign carried on the numerator.  They serialize as the string
 ``"p/q"`` (or just ``"p"`` when the denominator is 1).  ``scalar`` reads
 that form, signed, with int() alone, and hands every other string to
 ``Fraction(str)``, so it accepts exactly the strings Fraction does and
-raises its errors.
+raises its errors, but refuses a decimal exponent over Python's limit on
+integer string conversion before the value is formed.
 
 Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
 constructor coerces every entry through ``scalar`` (so it rejects floats);
@@ -23,9 +24,14 @@ the rebuilt flag rows.  Exact dot products of int rows are taken as
 ``sum(map(mul, u, v))``, with no generator frame per term.
 """
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+# the decimal exponent that ends a string, as Fraction(str) reads one
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
 
 
 class SingularMatrixError(ValueError):
@@ -46,8 +52,10 @@ def scalar(x):
     A string ``p``, ``-p``, ``p/q`` or ``-p/q`` of decimal digits
     (``str.isdecimal``), with a nonzero denominator, is read with int()
     alone; every other string goes to ``Fraction(str)``, so the accepted set
-    and the errors are Fraction's.  Floats and booleans raise TypeError, and
-    a string with a zero denominator ValueError.
+    and the errors are Fraction's, but for one bound: a decimal exponent over
+    ``sys.get_int_max_str_digits()`` in magnitude (none when that is 0) is
+    refused before ``10 ** exponent`` is formed.  Floats and booleans raise
+    TypeError, and such an exponent or a zero denominator ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -61,6 +69,13 @@ def scalar(x):
             num, den = int(p), int(q) if slash else 1
             if den:
                 return Fraction(num, den)
+        e, limit = _EXPONENT.search(x), sys.get_int_max_str_digits()
+        if e and limit:
+            digits = e.group(1).replace("_", "")
+            # over the limit in digits, Fraction's own int() refuses it
+            if len(digits) <= limit < int(digits):
+                raise ValueError("Exceeds the limit (%d) for a decimal exponent; use "
+                                 "sys.set_int_max_str_digits() to increase the limit" % limit)
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -13,7 +13,7 @@ from totpos.rational import (Mat, scalar, scalar_str, SingularMatrixError, _bare
 from totpos.flags import (DecoratedFlag, Configuration, FlagError, NotGenericError,
                           admissible_indices, _shifted, face, reverse, rotate, rotate_inv)
 from totpos.axioms import DIAGONAL_SHIFTS
-from totpos.polygon import Triangulation, ChartPoint, index_at
+from totpos.polygon import Triangulation, ChartPoint, chart_indices, index_at
 from totpos.mutation import _run_program
 from totpos.cactus import _reversal_program, _with_chord
 
@@ -25,14 +25,26 @@ from totpos.cactus import _reversal_program, _with_chord
 SCALAR_ALPHABET = "0123456789-+/.e_ \u0661\u00b2"
 
 
-def small_exponent(s):
-    """Whether an exponent in s has at most four characters: Fraction reads
-    "1e9999999" as an int of 10**7 digits, which takes seconds to form."""
-    return len(s.partition("e")[2]) <= 4
+def exponent_over_limit(s):
+    """Whether s ends in a decimal exponent (e or E, an optional sign, then a
+    digit followed by digits and underscores) of at most
+    sys.get_int_max_str_digits() digits, as int() reads no more, whose value
+    is over that limit; a limit of 0 bounds nothing."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exp = s.rstrip().lower().rpartition("e")
+    body = exp[1:] if exp[:1] in ("+", "-") else exp
+    digits = body.replace("_", "")
+    return (bool(e and limit) and body[:1].isdecimal() and digits.isdecimal()
+            and len(digits) <= limit < int(digits))
 
 
 def scalar_reference(s):
-    """scalar(s) for a string s, read by Fraction(s) alone, with no int fast path."""
+    """scalar(s) for a string s, read by Fraction(s) alone, with no int fast
+    path, once an exponent over the digit limit is refused."""
+    if exponent_over_limit(s):
+        raise ValueError("Exceeds the limit (%d) for a decimal exponent; use "
+                         "sys.set_int_max_str_digits() to increase the limit"
+                         % sys.get_int_max_str_digits())
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -343,6 +355,30 @@ def act_on_chart_reference(p, g):
     chords = [d if any(v not in order for v in d) else [g.mirror(v, n) for v in d]
               for d in t.diagonals]
     return ChartPoint._of(Triangulation._of_chords(n, chords), m, out)
+
+
+def chords_cross(d1, d2, n):
+    """Whether two chords of the n-gon cross in the interior."""
+    a, b = sorted(d1)
+    c, d = sorted(d2)
+    return (a < c < b < d) or (c < a < d < b)
+
+
+def relabel_chart_reference(p, perm):
+    """axioms.relabel_chart by enumerating the chart indices of the new
+    triangulation and reading each value at its old index: the oracle for
+    the library's move of each value by permuting its key."""
+    t = p.triangulation
+    n = t.n
+    inv = {perm[i - 1]: i for i in range(1, n + 1)}
+    new_t = Triangulation._of_chords(n, [(inv[a], inv[b]) for a, b in t.diagonals])
+    values = {}
+    for idx in chart_indices(new_t, p.m):
+        old = [0] * n
+        for i in range(n):
+            old[perm[i] - 1] = idx[i]
+        values[idx] = p.values[tuple(old)]
+    return ChartPoint._of(new_t, p.m, values)
 
 
 def identity(n):

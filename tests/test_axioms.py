@@ -1,12 +1,15 @@
 import pytest
 
-from totpos import flags
+from totpos import axioms, flags
+from totpos.flags import Configuration
 from totpos.mutation import flip_transport
+from totpos.polygon import ChartPoint, Triangulation
 from totpos.axioms import (check_axiom, check_glue, relabel_chart,
                            double_reversal, HALF_TURN, QUARTER_TURN, SQUARE)
-from totpos.reconstruct import flags_to_charts, charts_to_flags, random_chart_point
+from totpos.reconstruct import (flags_to_charts, charts_to_flags, random_chart_point,
+                                random_positive)
 
-from conftest import relabel, sign_normalize
+from conftest import random_triangulation, relabel, relabel_chart_reference, sign_normalize
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -37,8 +40,30 @@ def test_rotation_conjugation_takes_no_determinant_at_even_m(monkeypatch, m):
 
 
 def test_axiom_id_validation():
-    with pytest.raises(ValueError):
-        check_axiom(9, 2, 1, 0)
+    # an id that is not a key of the table, an unhashable one included
+    for k in (0, 9, "glue", None, [1]):
+        with pytest.raises(ValueError):
+            check_axiom(k, 2, 1, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", list(range(1, 9)))
+def test_each_axiom_reports_its_own_sampler_point(monkeypatch, k, m):
+    # every identity made to fail: the first counterexample is the first
+    # point the axiom's own sampler draws
+    def shifted_flip(p, d):
+        q = flip_transport(p, d)
+        return ChartPoint._of(q.triangulation, q.m, {i: v + 1 for i, v in q.values.items()})
+
+    monkeypatch.setattr(Configuration, "same_point", lambda self, other: False)
+    monkeypatch.setattr(ChartPoint, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(axioms, "flip_transport", shifted_flip)
+    seed = 17
+    first = (random_chart_point(Triangulation.fan(5), m, seed * 1000003) if k == 4
+             else random_positive(3, m, seed * 1000003) if k in (5, 6, 7)
+             else random_chart_point(SQUARE, m, seed * 1000003))
+    r = check_axiom(k, m, 3, seed)
+    assert r == {"axiom": k, "trials": 3, "passes": 0, "counterexample": first.to_json()}
 
 
 def test_reports_are_reproducible():
@@ -59,6 +84,18 @@ def test_relabel_chart_matches_flag_level_relabeling():
         q = relabel_chart(p, perm)
         c = sign_normalize(relabel(charts_to_flags(p), perm))
         assert flags_to_charts(c, q.triangulation) == q
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_relabel_chart_matches_the_enumerating_reference(n, m):
+    # every rotation and reflection of a random triangulation
+    t = random_triangulation(n, 10 * n + m)
+    p = random_chart_point(t, m, 100 * n + m)
+    for r in range(n):
+        for perm in ([(i + r) % n + 1 for i in range(n)],
+                     [(r - i) % n + 1 for i in range(n)]):
+            assert relabel_chart(p, perm) == relabel_chart_reference(p, perm), perm
 
 
 def test_relabel_chart_moves_the_diagonal():

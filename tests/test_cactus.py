@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos.flags import theta, iota, face, Configuration, admissible_indices
-from totpos.polygon import (Triangulation, ChartPoint, chart_indices, chords_cross,
+from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
@@ -14,8 +14,8 @@ import totpos.cactus as cactus_module
 import totpos.mutation as mutation
 import totpos.rational as rational
 
-from conftest import (act_on_chart_reference, relabel, sign_normalize, triangulations,
-                      _reversal_program_reference)
+from conftest import (act_on_chart_reference, chords_cross, relabel, sign_normalize,
+                      triangulations, _reversal_program_reference)
 
 
 def _adapted_triangulation(n, iv):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -655,6 +656,17 @@ def test_output_over_the_digit_limit_exits_two(capsys):
         code, out = run_cli(argv, stdin)
         assert (code, out) == (2, "")
         assert "4300 digits" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_value_with_an_exponent_over_the_digit_limit_exits_two_at_once(capsys):
+    # "1e9999999" would be an int of 33 million bits, formed in seconds
+    # before the flip; it is refused as it is read
+    data = json.loads(_gen_chart(5, 2)[1])
+    data["values"][min(data["values"])] = "1e9999999"
+    start = time.perf_counter()
+    assert run_cli(["flip", "-", "--diagonal", "1-3"], json.dumps(data)) == (2, "")
+    assert time.perf_counter() - start < 1
+    assert "Exceeds the limit (4300)" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("args", [

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from totpos import polygon
 from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             chart_dimension, flip_path, glue_check,
-                            edge_values, cyclic_interval, chords_cross,
-                            PolygonError)
+                            edge_values, cyclic_interval, PolygonError)
 from totpos.flags import Configuration
 from totpos.reconstruct import flags_to_charts, random_positive, random_chart_point
 from totpos.mutation import transport
 from totpos.cactus import IntervalGen, act_word
 
-from conftest import random_triangulation, sharing_pairs, triangulations
+from conftest import chords_cross, random_triangulation, sharing_pairs, triangulations
 
 
 def test_triangulation_validation():

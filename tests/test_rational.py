@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from totpos.rational import (Mat, det, scalar, scalar_str, SingularMatrixError,
 
 from conftest import (SCALAR_ALPHABET, add_multiple_of_row, cofactor_ints, det_oracle,
                       identity, inverse, mat_mul, scalar_outcome, scalar_reference,
-                      small_exponent, solve, transpose)
+                      solve, transpose)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12)
@@ -92,6 +93,8 @@ SCALAR_STRINGS = [
     "-6/-4", "3/-4", "--3", "-", "", "3/", "/4", "0/0", "3/00", " 3/4", "+3",
     "1_0", "1.5", "1e3", "\u0661\u0662/\u0663", "\u00b2", "-0/7", "007/003",
     "3/\u0660\u0660", "-62351/204288", "12", "-12", _BIG, "-" + _BIG, "3/" + _BIG, "-" + _BIG + "/3",
+    # exponents within the digit limit, and one of more digits than int() reads
+    "1e4300", "-1e-4300", "1.5e-3", "1E+0_7", "1e0001", "1e" + "0" * 4301 + "5",
 ]
 
 
@@ -104,7 +107,32 @@ def test_scalar_reads_strings_as_fraction_does(s):
         assert outcome[0] is ValueError and "Exceeds the limit" in outcome[1]
 
 
-@given(st.text(alphabet=SCALAR_ALPHABET, max_size=12).filter(small_exponent))
+@pytest.mark.parametrize("s", ["1e4301", "-1e-4301", "1E+9999", "1e9999999", "1e9_999_999",
+                               " -2.5E-0_4_301 ", "1e\u0664\u0663\u0660\u0661"])
+def test_scalar_refuses_an_exponent_over_the_digit_limit(s):
+    # Fraction reads "1e9999999" as an int of 10**7 digits, which takes seconds
+    start = time.perf_counter()
+    outcome = scalar_outcome(scalar, s)
+    assert time.perf_counter() - start < 0.1
+    assert outcome == (ValueError, "Exceeds the limit (4300) for a decimal exponent; use "
+                                   "sys.set_int_max_str_digits() to increase the limit")
+    assert outcome == scalar_outcome(scalar_reference, s)
+
+
+def test_scalar_exponent_bound_follows_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert scalar("1e4301") == Fraction(10 ** 4301)
+        sys.set_int_max_str_digits(640)
+        assert scalar("1e-640") == Fraction(1, 10 ** 640)
+        with pytest.raises(ValueError, match=r"Exceeds the limit \(640\)"):
+            scalar("1e-641")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(st.text(alphabet=SCALAR_ALPHABET, max_size=12))
 def test_scalar_agrees_with_fraction_on_random_strings(s):
     assert scalar_outcome(scalar, s) == scalar_outcome(scalar_reference, s)
 
