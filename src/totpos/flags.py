@@ -25,12 +25,13 @@ these maps need depend only on (n, m): reverse needs none, and rotate,
 rotate_inv and face take theirs in closed form from _shifted, which at
 even m negates the int rows of each flag that wraps round.
 
-A flag is held as its integer clearing only.  Its canonical representative,
-by which flags compare and hash, has mutually orthogonal rows; every derived
-flag holds it, wrapped unchecked with its det in closed form.  Fraction rows
-are read only by the checked constructor, for outside input, which
-eliminates once to find the det, and formed only by ``rep``, for ``repr``;
-``to_json`` writes each entry straight from the clearing.
+A flag is held as its integer clearing only, always that of its coset's
+canonical representative, with mutually orthogonal rows, so flags compare
+and hash as held.  The checked constructor, for outside input, eliminates
+once to find the det and then takes each row less its projection on the
+rows before it; every derived flag holds such rows already, wrapped
+unchecked with its det in closed form.  Fraction rows are formed only by
+``rep``, for ``repr``; ``to_json`` writes each entry from the clearing.
 """
 
 from fractions import Fraction
@@ -92,12 +93,13 @@ class DecoratedFlag:
     """A complete flag of R^m with volume decorations, as an m x m matrix.
 
     A flag is held as its integer clearing only: int rows, the prefix
-    products of their row scales, and the det.  Coordinates stack the int
-    rows, ``==`` and ``hash`` compare the orthogonal-row clearing of
-    ``canonicalize``, and ``Configuration.to_json`` writes the clearing, so
-    none of them touches Fraction arithmetic; ``rep`` forms the Fraction
-    rows, for ``repr``.  The checked constructor requires det 1, and
-    ``scale_rows`` is the one way to a flag of another det.
+    products of their row scales, and the det, always those of the coset's
+    canonical representative, with mutually orthogonal rows.  Coordinates
+    stack the int rows, ``==`` and ``hash`` compare the clearing as held,
+    and ``Configuration.to_json`` writes it, so none of them touches
+    Fraction arithmetic; ``rep`` forms the Fraction rows, for ``repr``.
+    The checked constructor requires det 1, and ``scale_rows`` is the one
+    way to a flag of another det.
     """
 
     __slots__ = ("m", "_ints", "_scales", "_det")
@@ -108,13 +110,21 @@ class DecoratedFlag:
         if not rep.is_square:
             raise FlagError("flag representative must be square")
         self.m = rep.rows
-        ints, self._scales = _integer_clearing(rep.entries)
-        self._ints = tuple(ints)  # elimination rebinds the list's entries
-        d = self._det = _det_cleared(ints, self._scales[-1])
+        rows, s = _integer_clearing(rep.entries)
+        d = _det_cleared(list(rows), s[-1])  # elimination rebinds the entries
         if d == 0:
             raise FlagError("flag representative is singular")
         if d != 1:
             raise FlagError("flag representative has det %s != 1" % scalar_str(d))
+        # the canonical rows: each row less its projection on the rows before
+        # it (by which row l varies over a coset), cleared with one gcd
+        ints, scales = [], [1]
+        for l, row in enumerate(rows):
+            nums, den = _project_out(row, ints)
+            r, e = _clear_ratio(nums, den * (s[l + 1] // s[l]))
+            ints.append(r)
+            scales.append(scales[-1] * e)
+        self._ints, self._scales, self._det = tuple(ints), scales, d
 
     @classmethod
     def _of(cls, ints, scales, det):
@@ -135,29 +145,13 @@ class DecoratedFlag:
         """Equality of decorated flags, i.e. of their canonical clearings."""
         if not isinstance(other, DecoratedFlag):
             return False
-        a, b = self.canonicalize(), other.canonicalize()
-        return a._ints == b._ints and a._scales == b._scales
+        return self._ints == other._ints and self._scales == other._scales
 
     def __hash__(self):
-        c = self.canonicalize()
-        return hash((tuple(map(tuple, c._ints)), tuple(c._scales)))
+        return hash((tuple(map(tuple, self._ints)), tuple(self._scales)))
 
     def __repr__(self):
         return "DecoratedFlag(%r)" % (self.rep,)
-
-    def canonicalize(self):
-        """The unique coset representative, with mutually orthogonal rows:
-        each held int row less its projection on the rows before it (the
-        vectors of V_{l-1} by which row l varies over a coset), cleared with
-        one gcd.  Every flag the library makes holds these rows already."""
-        s = self._scales
-        ints, scales = [], [1]
-        for l, row in enumerate(self._ints):
-            nums, d = _project_out(row, ints)
-            r, e = _clear_ratio(nums, d * (s[l + 1] // s[l]))
-            ints.append(r)
-            scales.append(scales[-1] * e)
-        return DecoratedFlag._of(ints, scales, self._det)
 
     def orthogonal(self):
         """The orthogonal flag: J F^{-T} J, rescaled to det 1.
@@ -167,20 +161,17 @@ class DecoratedFlag:
         are the orthocomplements of the input's suffix spans under the
         bilinear form x J y^T; applying the map twice returns the same coset.
 
-        No elimination: each held int row R_l, row l of D F with D the
-        diagonal of row scales d_l, first loses its projection on the
-        earlier rows, a lower-unitriangular move that keeps the coset (and,
-        on every flag the library makes, a no-op).  For mutually orthogonal
-        rows F^{-T} = diag(1 / (r_l . r_l)) F, so row i of J F^{-T} J is
-        reversed(R_l) d_l / (R_l . R_l), l = m - 1 - i; J F^{-T} J has det
-        1 / det F, so its last row is scaled by the held det F.
+        No elimination: each held int row R_l is row l of D F, with D the
+        diagonal of row scales d_l, and the held rows are mutually
+        orthogonal.  For such rows F^{-T} = diag(1 / (r_l . r_l)) F, so row
+        i of J F^{-T} J is reversed(R_l) d_l / (R_l . R_l), l = m - 1 - i;
+        J F^{-T} J has det 1 / det F, so its last row is scaled by the held
+        det F.
         """
         s, det = self._scales, self._det
-        held, cleared = [], []
+        cleared = []
         for l, row in enumerate(self._ints):
-            row, d = _project_out(row, held)
-            held.append(row)
-            f, norm = d * (s[l + 1] // s[l]), sum(map(mul, row, row))
+            f, norm = s[l + 1] // s[l], sum(map(mul, row, row))
             if not l:
                 f, norm = f * det.numerator, norm * det.denominator
             cleared.append(_clear_ratio([f * x for x in reversed(row)], norm))
@@ -269,19 +260,18 @@ class Configuration:
     def same_point(self, other):
         """Equality as configurations: every coordinate agrees exactly.
 
-        Identical clearings, i.e. representatives, give identical coordinates,
-        so they decide it at once (charts_to_flags fixes its gauge from the
-        point alone).  At even m so do negated ones: every flag of ``other``
-        holding the negated int rows and the same row scales of its flag in
-        ``self`` is the global right action of -I, which has det 1 there
-        (at odd m it has det -1 and negates every coordinate).  Otherwise
-        the coordinates are compared in admissible order, through the
-        unchecked _delta, up to the first that differs.
+        Equal flags, i.e. identical canonical clearings, give identical
+        coordinates, so they decide it at once (charts_to_flags fixes its
+        gauge from the point alone).  At even m so do negated ones: every
+        flag of ``other`` holding the negated int rows and the same row
+        scales of its flag in ``self`` is the global right action of -I,
+        which has det 1 there (at odd m it has det -1 and negates every
+        coordinate).  Otherwise the coordinates are compared in admissible
+        order, through the unchecked _delta, up to the first that differs.
         """
         if self.n != other.n or self.m != other.m:
             return False
-        if all(f._ints == g._ints and f._scales == g._scales
-               for f, g in zip(self.flags, other.flags)):
+        if self.flags == other.flags:
             return True
         if self.m % 2 == 0 and all(
                 f._scales == g._scales
@@ -340,7 +330,7 @@ def rotate(c):
 
 def rotate_inv(c):
     if c.n != 3:
-        raise FlagError("rotate needs a triangle configuration")
+        raise FlagError("rotate_inv needs a triangle configuration")
     return _shifted(c.flags, 1)
 
 

@@ -9,9 +9,10 @@ raises its errors, but refuses a decimal exponent over Python's limit on
 integer string conversion before the value is formed.
 
 Matrices are immutable tuples of tuples of Fractions.  The public ``Mat``
-constructor coerces every entry through ``scalar`` (so it rejects floats);
-paths that already hold Fractions (the rows of flags the library derives)
-wrap them as they are with the internal ``Mat._of``.
+constructor takes rows that are lists or tuples (not strings or mappings)
+and coerces every entry through ``scalar`` (so it rejects floats); paths
+that already hold Fractions (the rows of flags the library derives) wrap
+them as they are with the internal ``Mat._of``.
 
 Determinants and eliminations run on Python ints.  Each row is cleared to
 integers once, as numerator * (lcm // denominator) with no Fraction
@@ -19,9 +20,9 @@ arithmetic, and fraction-free Bareiss elimination (Math. Comp. 22, 1968)
 keeps every intermediate entry a minor of the cleared matrix, so its
 divisions are exact and its entries polynomially bounded.  Fractions are
 formed only for the results.  ``_project_out`` takes a row's projection on
-mutually orthogonal int rows, for the canonical and orthogonal flags and
-the rebuilt flag rows.  Exact dot products of int rows are taken as
-``sum(map(mul, u, v))``, with no generator frame per term.
+mutually orthogonal int rows, for the checked flag constructor's canonical
+rows and the rebuilt flag rows.  Exact dot products of int rows are taken
+as ``sum(map(mul, u, v))``, with no generator frame per term.
 """
 
 import re
@@ -110,6 +111,9 @@ class Mat:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
+        entries = tuple(entries)
+        if not all(isinstance(row, (list, tuple)) for row in entries):
+            raise TypeError("matrix rows must be lists or tuples")
         entries = tuple(tuple(scalar(x) for x in row) for row in entries)
         if not entries:
             raise ValueError("empty matrix")

@@ -198,6 +198,32 @@ def test_non_unimodular_flag_exits_two(capsys):
     _exits_two(capsys, ["act", "-", "--word", "[[1,3]]"], json.dumps(data))
 
 
+def test_row_moved_flags_are_read_as_their_canonical_rows():
+    # gen 5 3 --seed 7 with 2 x row 1 added to row 3 of flag 3 is the same
+    # point, written with rows that are not orthogonal; only the empty word
+    # prints the flags as read, and it prints gen's canonical rows
+    _, cfg = run_cli(["gen", "5", "3", "--seed", "7"])
+    data = json.loads(cfg)
+    flag = data["flags"][2]
+    flag[2] = [str(Fraction(c) + 2 * Fraction(a)) for a, c in zip(flag[0], flag[2])]
+    moved = json.dumps(data)
+    assert run_cli(["act", "-", "--word", "[]"], moved) == (0, cfg)
+    assert hashlib.md5(cfg.encode()).hexdigest() == "5b3e5aebc7c29e1f8f951587d23ad5ca"
+    for argv, digest in ((["act", "-", "--word", "[[1,3]]"], "f3551533b6660c4ab1f916f0df41c1ef"),
+                         (["charts", "-"], "3146d23d65984c4e2ffa449e24b689b8")):
+        code, out = run_cli(argv, moved)
+        assert code == 0 and hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_flag_rows_that_are_not_arrays_exit_two(capsys):
+    # a string row is not read as its digits, nor a flag string as its rows
+    _exits_two(capsys, ["act", "-", "--word", "[]"], '{"flags": "11", "n": 2, "m": 1}')
+    _, cfg = run_cli(["gen", "3", "2", "--seed", "1"])
+    data = json.loads(cfg)
+    data["flags"][0] = ["10", "01"]
+    _exits_two(capsys, ["act", "-", "--word", "[]"], json.dumps(data))
+
+
 def test_parser_is_built_once_and_reused():
     assert cli._parser() is cli._parser()
     first = run_cli(["--help"])

@@ -97,8 +97,11 @@ def test_flag_validation():
 def test_canonicalize_is_idempotent_and_constant_on_cosets():
     f = DecoratedFlag(Mat([[1, 2, 3], [0, 1, 4], [0, 0, 1]]))
     g = DecoratedFlag(add_multiple_of_row(add_multiple_of_row(f.rep, 1, 0, 7), 2, 1, -2))
-    assert f.canonicalize().rep == g.canonicalize().rep
-    assert f.canonicalize().canonicalize().rep == f.canonicalize().rep
+    # the checked constructor holds the canonical rows, so constructing
+    # again from them is the identity
+    assert (f._ints, f._scales, f._det) == (g._ints, g._scales, g._det)
+    h = DecoratedFlag(f.rep)
+    assert (h._ints, h._scales, h._det) == (f._ints, f._scales, f._det)
     assert f == g
 
 
@@ -166,8 +169,9 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
             unflipped = flipped.flags[0].orthogonal()
         assert twice == f and unflipped == f.orthogonal()
         for g in (*c.flags, *reverse(c).flags):
-            k = g.canonicalize()
-            assert k == g and (k._ints, k._scales, k._det) == (g._ints, g._scales, g._det)
+            ints = g._ints
+            assert all(sum(a * b for a, b in zip(ints[i], ints[j])) == 0
+                       for j in range(m) for i in range(j))
         assert flipped.flags[0]._det == -1 and not flipped.is_positive()
         assert sign_normalize(flipped).same_point(c)
 
@@ -175,9 +179,8 @@ def test_derived_flags_skip_the_checked_constructor(monkeypatch):
 def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
     # a flag is held as its integer clearing; only rep, and so __repr__,
     # forms Fractions from it, and only the checked constructor and det
-    # clear Fraction rows: charts_to_flags, canonicalize, and so == and
-    # hash, and to_json, which writes each entry from the clearing, work on
-    # int rows alone
+    # clear Fraction rows: charts_to_flags, == and hash, and to_json, which
+    # writes each entry from the clearing, work on int rows alone
     p = random_chart_point(random_triangulation(6, 2), 3, 43)
     moved = DecoratedFlag(add_multiple_of_row(charts_to_flags(p).flags[2].rep, 2, 0,
                                               Fraction(5, 3)))
@@ -202,8 +205,7 @@ def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
     flipped = Configuration([*a.flags[:2], f.scale_rows([-1, -1, 1]), *a.flags[3:]])
     assert not flipped.is_positive() and sign_normalize(flipped).same_point(a)
     assert f.orthogonal().orthogonal()._det == 1
-    k = moved.canonicalize()
-    assert (k._ints, k._scales, k._det) == (f._ints, f._scales, f._det)
+    assert (moved._ints, moved._scales, moved._det) == (f._ints, f._scales, f._det)
     assert moved == f and hash(moved) == hash(f) and moved != a.flags[3]
     assert len({*a.flags, *b.flags, moved}) == a.n
     assert [a.to_json(), reverse(b).to_json()] == written
@@ -222,7 +224,7 @@ def test_derived_flags_hold_their_own_clearing_and_det(m, seed, data):
     factors = data.draw(st.lists(nonzero_rationals, min_size=m, max_size=m))
     for g in (f, f.scale_rows(factors)):
         assert g.orthogonal().rep == perp_with(g, *closed_form_convention(m)).rep
-        for d in (g.orthogonal(), g.scale_rows(factors), g.canonicalize()):
+        for d in (g.orthogonal(), g.scale_rows(factors), g):
             ints, scales = _integer_clearing(d.rep.entries)
             assert list(d._ints) == ints and d._scales == scales
             assert d._det == det(d.rep)
@@ -250,20 +252,57 @@ def test_orthogonal_closed_form_matches_elimination(m, seed, data):
 @given(st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
 def test_orthogonal_depends_only_on_the_coset(m, seed, data):
     # a lower-unitriangular move L F of a flag F with orthogonal rows makes
-    # its rows non-orthogonal; the projection takes them back to F's rows
+    # its rows non-orthogonal; the checked constructor takes them back to
+    # F's rows, so the orthogonal flag is F's
     f = random_positive(3, m, seed).flags[data.draw(st.integers(0, 2))]
     entries = st.integers(-4, 4).filter(bool)
     lower = [[data.draw(entries) if j < i else int(i == j) for j in range(m)]
              for i in range(m)]
-    moved = DecoratedFlag(mat_mul(Mat(lower), f.rep))
-    assert sum(a * b for a, b in zip(moved._ints[0], moved._ints[1])) != 0
+    rows = mat_mul(Mat(lower), f.rep).entries
+    assert sum(a * b for a, b in zip(rows[0], rows[1])) != 0
+    moved = DecoratedFlag(rows)
+    assert (moved._ints, moved._scales, moved._det) == (f._ints, f._scales, f._det)
     g, h = moved.orthogonal(), f.orthogonal()
     assert (g._ints, g._scales, g._det) == (h._ints, h._scales, h._det)
     assert g == perp_with(moved, *closed_form_convention(m))
-    # and the canonical representative is F's own clearing
-    k = moved.canonicalize()
-    assert (k._ints, k._scales, k._det) == (f._ints, f._scales, f._det)
     assert moved == f and hash(moved) == hash(f)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 7), st.integers(0, 10 ** 6), st.data())
+def test_the_checked_constructor_is_the_one_place_that_canonicalizes(m, seed, data):
+    # outside input L F holds F's clearing from construction on, so no
+    # later comparison, hash or orthogonal flag takes a projection
+    c = random_positive(3, m, seed)
+    entries = st.integers(-4, 4).filter(bool)
+    lower = [[data.draw(entries) if j < i else int(i == j) for j in range(m)]
+             for i in range(m)]
+    moved = [DecoratedFlag(mat_mul(Mat(lower), f.rep)) for f in c.flags]
+    for f, g in zip(c.flags, moved):
+        assert (g._ints, g._scales, g._det) == (f._ints, f._scales, f._det)
+
+    def refuse(*args):
+        raise AssertionError("a projection was taken after construction")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flags, "_project_out", refuse)
+        for f, g in zip(c.flags, moved):
+            assert g == f and hash(g) == hash(f)
+            h, k = g.orthogonal(), f.orthogonal()
+            assert (h._ints, h._scales, h._det) == (k._ints, k._scales, k._det)
+        a, b = Configuration(moved), Configuration(c.flags)
+        assert a.same_point(b) and b.same_point(a)
+        assert a._deltas == {} and b._deltas == {}
+
+
+def test_library_flags_are_their_own_canonical_representatives():
+    for m in (2, 3, 4, 5):
+        c = random_positive(3, m, 37 + m)
+        made = [*c.flags, *reverse(c).flags, *rotate(c).flags, *rotate_inv(c).flags,
+                *face(c, 1).flags, *face(c, 2).flags, *(f.orthogonal() for f in c.flags)]
+        for f in made:
+            g = DecoratedFlag(f.rep)
+            assert g == f and hash(g) == hash(f)
 
 
 @settings(deadline=None, max_examples=25)
@@ -272,7 +311,7 @@ def test_to_json_spells_the_fraction_rows(n, m, seed, data):
     # each entry is written from the clearing, int x over its row scale d in
     # lowest terms, and must spell the Fraction rows of rep: on rebuilt,
     # reversed and rescaled flags (negative and fractional factors) and on
-    # outside input L F, whose rows are not the canonical ones
+    # outside input L F, which the checked constructor holds as F's rows
     c = random_positive(n, m, seed)
     factors = data.draw(st.lists(nonzero_rationals, min_size=m, max_size=m))
     entries = st.integers(-4, 4).filter(bool)
@@ -510,8 +549,10 @@ def test_same_point_agrees_with_the_full_comparison(n, m, seed, kind, data):
         idx = data.draw(st.sampled_from(sorted(values)))
         values[idx] += data.draw(st.sampled_from([1, Fraction(1, 2)]))
         b = charts_to_flags(ChartPoint(p.triangulation, m, values))
+    # a row move keeps the coset, whose canonical clearing the checked
+    # constructor holds; the other kinds reach the coordinate comparison
     identical = all(f.rep == g.rep for f, g in zip(a.flags, b.flags))
-    assert identical == (kind == "identical")
+    assert identical == (kind in ("identical", "row move"))
     full = Configuration(a.flags).all_deltas() == Configuration(b.flags).all_deltas()
     assert full == (m % 2 == 0 if kind == "center" else kind != "unequal")
     assert a.same_point(b) == b.same_point(a) == full
@@ -622,3 +663,7 @@ def test_invalid_shapes_raise_their_layer_error(name):
     with pytest.raises(error) as caught:
         call()
     assert caught.type is error
+    # a reversal-layer map names itself, not another map
+    function = name.split("-")[0]
+    if function in ("rotate", "rotate_inv", "face", "iota", "theta"):
+        assert str(caught.value).startswith(function + " "), caught.value

@@ -287,6 +287,10 @@ def test_singular_det_is_zero():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         Mat([[1, 2], [3]])
+    # a row is a list or tuple, never a string's characters or a mapping's keys
+    for rows in ("11", ["12", "34"], [{"1": 0}]):
+        with pytest.raises(TypeError):
+            Mat(rows)
     with pytest.raises(ValueError):
         det(Mat([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ValueError):
