@@ -92,7 +92,7 @@ def check_index(idx, n, m):
 class DecoratedFlag:
     """A complete flag of R^m with volume decorations, as an m x m matrix.
 
-    A flag is held as its integer clearing only: int rows, the prefix
+    A flag is held as its integer clearing only: tuple int rows, the prefix
     products of their row scales, and the det, always those of the coset's
     canonical representative, with mutually orthogonal rows.  Coordinates
     stack the int rows, ``==`` and ``hash`` compare the clearing as held,
@@ -124,14 +124,14 @@ class DecoratedFlag:
             r, e = _clear_ratio(nums, den * (s[l + 1] // s[l]))
             ints.append(r)
             scales.append(scales[-1] * e)
-        self._ints, self._scales, self._det = tuple(ints), scales, d
+        self._ints, self._scales, self._det = tuple(map(tuple, ints)), scales, d
 
     @classmethod
     def _of(cls, ints, scales, det):
         """Wrap the canonical integer clearing (int rows, prefix scales) of a
-        representative of det ``det`` as is, without checking."""
+        representative of det ``det`` without checking, its rows as tuples."""
         f = object.__new__(cls)
-        f.m, f._ints, f._scales, f._det = len(ints), tuple(ints), scales, det
+        f.m, f._ints, f._scales, f._det = len(ints), tuple(map(tuple, ints)), scales, det
         return f
 
     @property
@@ -148,7 +148,7 @@ class DecoratedFlag:
         return self._ints == other._ints and self._scales == other._scales
 
     def __hash__(self):
-        return hash((tuple(map(tuple, self._ints)), tuple(self._scales)))
+        return hash((self._ints, tuple(self._scales)))
 
     def __repr__(self):
         return "DecoratedFlag(%r)" % (self.rep,)
@@ -275,7 +275,7 @@ class Configuration:
             return True
         if self.m % 2 == 0 and all(
                 f._scales == g._scales
-                and all([-x for x in r] == s for r, s in zip(f._ints, g._ints))
+                and all(tuple([-x for x in r]) == s for r, s in zip(f._ints, g._ints))
                 for f, g in zip(self.flags, other.flags)):
             return True
         return all(self._delta(idx) == other._delta(idx)

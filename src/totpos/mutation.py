@@ -101,6 +101,8 @@ def flip_transport(p, d):
 def transport(p, target):
     """Chart point of the target triangulation for the same point; the harness
     checks, rather than assumes, that it does not depend on the path."""
+    if p.triangulation == target:
+        return ChartPoint._of(target, p.m, dict(p.values))
     values, diagonals = dict(p.values), set(p.triangulation.diagonals)
     for quad in _flip_quadrilaterals(p.triangulation, target):
         _flip(values, diagonals, target.n, p.m, *quad)

@@ -3,19 +3,19 @@
 flags_to_charts reads the chart coordinates off a configuration.
 charts_to_flags rebuilds a gauge-fixed configuration from positive chart
 values on the fan at vertex 1, transporting a point on any other
-triangulation there first.  The first two flags are pinned explicitly
-(standard flag and a scaled antidiagonal flag matched to the {1, 2} edge
-values), and flag v = 3..n is solved row by row from the chart values of
-the fan triangle (1, v-1, v), under the keys and cofactor signs of a plan
-built once per (n, m).  A row's conditions are dot products with cofactor
-vectors read straight off one elimination, each with one more leading
-zero than the last and a nonzero pivot, so back substitution meets them;
-taking out the projection on the flag's earlier rows, which are mutually
-orthogonal, makes the row orthogonal to them.  Each flag's last row is e_1
-less its projection on the other rows, over the chart value with weights
-(1, m-1) on the edge {1, v}: det 1 with no elimination.  Each row is
-cleared with one gcd; each flag is held as that clearing; reading ``rep``
-forms Fractions.
+triangulation there first.  The first two flags are pinned explicitly (the
+standard flag, shared per m, and int antidiagonal rows matched to the
+{1, 2} edge values), and flag v = 3..n is solved row by row from the fan
+triangle (1, v-1, v), under a plan built once per (n, m) that holds every
+key the rebuild reads, with its sign.  A row's conditions are dot products
+with cofactor vectors read straight off one elimination, each with one
+more leading zero than the last and a nonzero pivot, so back substitution
+meets them; taking out the projection on the flag's earlier rows, which
+are mutually orthogonal, makes the row orthogonal to them.  Each flag's
+last row is e_1 less its projection on the other rows, over the chart
+value with weights (1, m-1) on the edge {1, v}: det 1 with no elimination.
+Each row is cleared with one gcd; each flag is held as that clearing;
+reading ``rep`` forms Fractions.
 """
 
 import random
@@ -66,27 +66,29 @@ def charts_to_flags(p):
     n, m = p.triangulation.n, p.m
     fan = transport(p, Triangulation.fan(n))
     values = fan.values
-
-    # vertex 1: the standard flag
-    standard = [[int(j == i) for j in range(m)] for i in range(m)]
-    flags = [DecoratedFlag._of(standard, [1] * (m + 1), 1)]
-
-    # vertex 2: scaled antidiagonal int rows, matched to the {1, 2} edge values
-    cleared = []
-    prod = Fraction(1)
-    for j in range(1, m):
-        target = (-1) ** (j * (j - 1) // 2) * values[index_at(n, (1, 2), (m - j, j))]
-        lam = target / prod
-        prod = target
-        cleared.append(([0] * (m - j) + [lam.numerator] + [0] * (j - 1), lam.denominator))
+    edge, ends, solves = _rebuild_plan(n, m)
+    # vertex 2: antidiagonal int rows lam_j = s_j s_{j-1} a_j b_{j-1} /
+    # (b_j a_{j-1}), from the {1, 2} edge values a_j / b_j and signs s_j
+    cleared, a, b, s = [], 1, 1, 1
+    for j, (key, sign) in enumerate(edge, 1):
+        v = values[key]
+        cleared.append(_clear_ratio([0] * (m - j) + [sign * s * v.numerator * b]
+                                    + [0] * (j - 1), v.denominator * a))
+        a, b, s = v.numerator, v.denominator, sign
     known = _prefix_scales(cleared)
-    flags.append(_completed(known, values[index_at(n, (1, 2), (1, m - 1))]))
-    for v, plan in enumerate(_rebuild_plan(n, m), 3):
+    flags = [_standard(m), _completed(known, values[ends[0]])]
+    for plan, end in zip(solves, ends[1:]):
         known = _solve_flag(values, plan, known, m)
-        flags.append(_completed(known, values[index_at(n, (1, v), (1, m - 1))]))
+        flags.append(_completed(known, values[end]))
     c = Configuration(flags)
     c._fan = fan
     return c
+
+
+@lru_cache(maxsize=None)
+def _standard(m):
+    """Vertex 1's standard flag, shared per m: the antidiagonal rows, last first."""
+    return DecoratedFlag._of(_antidiagonal(m)[::-1], [1] * (m + 1), 1)
 
 
 def _completed(known, delta):
@@ -109,13 +111,18 @@ def _completed(known, delta):
 
 @lru_cache(maxsize=None)
 def _rebuild_plan(n, m):
-    """For flag v = 3..n and row k = 1..m-1, the row's m - k + 1 conditions
-    in back-substitution order, i = m-k down to 0, as (i, j = m - k - i,
-    the fan chart key of weights (i, j, k) at (1, v-1, v), the sign s_i)."""
-    return tuple(tuple(tuple((i, m - k - i, index_at(n, (1, v - 1, v), (i, m - k - i, k)),
-                              (-1) ** ((k - 1) * (m - k - i) + (m - i) * (m - i - 1) // 2))
-                             for i in range(m - k, -1, -1)) for k in range(1, m))
-                 for v in range(3, n + 1))
+    """(edge, ends, solves): flag 2's {1, 2} keys of weights (m - j, j), signed
+    (-1)^(j(j-1)/2); the completion keys, weights (1, m-1) on {1, v}, v = 2..n;
+    and for row k = 1..m-1 of flag v = 3..n, its m - k + 1 conditions, i = m-k
+    down to 0, as (i, j = m-k-i, the key of weights (i, j, k) at (1, v-1, v), s_i)."""
+    edge = tuple((index_at(n, (1, 2), (m - j, j)), (-1) ** (j * (j - 1) // 2))
+                 for j in range(1, m))
+    ends = tuple(index_at(n, (1, v), (1, m - 1)) for v in range(2, n + 1))
+    return edge, ends, tuple(
+        tuple(tuple((i, m - k - i, index_at(n, (1, v - 1, v), (i, m - k - i, k)),
+                     (-1) ** ((k - 1) * (m - k - i) + (m - i) * (m - i - 1) // 2))
+                    for i in range(m - k, -1, -1)) for k in range(1, m))
+        for v in range(3, n + 1))
 
 
 def _solve_flag(values, plan, prev, m):
@@ -161,15 +168,20 @@ def _nested_cofactors(ints, prev, m):
 
     Past e_1..e_i, det is a minor on the trailing q = m - i columns of the
     first q - 1 rows of A = ints + prev[:m-k] and the probe: Bareiss on
-    [A's columns, last first | antidiagonal of ones] leaves it in row q - 1,
-    the row and column order giving s_i.  Pivots are chart values times
-    row scales, so no row is swapped.
+    [A's columns, last first | the shared antidiagonal block of ones]
+    leaves it in row q - 1, the row and column order giving s_i.  Pivots
+    are chart values times row scales, so no row is swapped.
     """
     a = ints + prev[:m - 1 - len(ints)]
-    aug = [[row[m - 1 - r] for row in a] + [int(r + t == m - 1) for t in range(m)]
-           for r in range(m)]
+    aug = [col + anti for col, anti in zip(list(zip(*a))[::-1], _antidiagonal(m))]
     _bareiss(aug, m - 1)
     return aug
+
+
+@lru_cache(maxsize=None)
+def _antidiagonal(m):
+    """The m x m antidiagonal block of ones, as tuple rows, shared per m."""
+    return tuple(tuple(int(r + t == m - 1) for t in range(m)) for r in range(m))
 
 
 def random_positive(n, m, seed, bound=20):
@@ -189,6 +201,6 @@ def random_chart_point(t, m, seed, bound=20):
     if bound < 1:
         raise FlagError("need bound >= 1")
     rng = random.Random(seed)
-    values = {idx: Fraction(rng.randint(1, bound), rng.randint(1, bound))
+    values = {idx: Fraction(rng.randrange(bound) + 1, rng.randrange(bound) + 1)
               for idx in chart_indices(t, m)}
     return ChartPoint._of(t, m, values)

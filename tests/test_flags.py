@@ -226,7 +226,7 @@ def test_derived_flags_hold_their_own_clearing_and_det(m, seed, data):
         assert g.orthogonal().rep == perp_with(g, *closed_form_convention(m)).rep
         for d in (g.orthogonal(), g.scale_rows(factors), g):
             ints, scales = _integer_clearing(d.rep.entries)
-            assert list(d._ints) == ints and d._scales == scales
+            assert d._ints == tuple(map(tuple, ints)) and d._scales == scales
             assert d._det == det(d.rep)
     for bad in ([0] + [1] * (m - 1), [1] * (m - 1), [1] * (m + 1)):
         with pytest.raises(FlagError):

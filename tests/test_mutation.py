@@ -278,6 +278,30 @@ def test_transport_finds_no_quadrilateral_and_builds_no_triangulation(monkeypatc
     assert flips and calls == []
 
 
+def test_transport_onto_its_own_triangulation_copies_the_values(monkeypatch):
+    def refuse(t1, t2):
+        raise AssertionError("planned a flip path onto the same triangulation")
+
+    monkeypatch.setattr(mutation, "_flip_quadrilaterals", refuse)
+    for n, m in [(3, 2), (5, 3), (8, 4)]:
+        for t in (Triangulation.fan(n), random_triangulation(n, n + m)):
+            p = random_chart_point(t, m, 7 * n + m)
+            values = dict(p.values)
+            # an equal triangulation that is another object
+            q = transport(p, Triangulation(n, t.diagonals))
+            assert q == p and q is not p and q.values is not p.values
+            q.values[next(iter(q.values))] = Fraction(99)
+            q.values.popitem()
+            assert p.values == values
+    # the fan chart of a configuration rebuilt from a fan point is its own
+    p = random_chart_point(Triangulation.fan(6), 3, 5)
+    values = dict(p.values)
+    c = charts_to_flags(p)
+    assert c._fan == p and c._fan.values is not p.values
+    c._fan.values.clear()
+    assert p.values == values
+
+
 def _transport_reference(p, target):
     """The transport that one dict replaced, kept as an oracle: a fold of
     flip_transport, one chart point per flip, over flip_path."""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import totpos.flags as flags
 import totpos.rational as rational
 import totpos.reconstruct as reconstruct
 from totpos.rational import Mat, _clear_row, _integer_clearing
-from totpos.flags import DecoratedFlag, Configuration
+from totpos.flags import DecoratedFlag, Configuration, reverse, _shifted
 from totpos.polygon import Triangulation, ChartPoint, chart_dimension, chart_indices, index_at
 from totpos.mutation import transport
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
@@ -110,9 +111,10 @@ def test_nested_cofactors_match_one_elimination_each(monkeypatch):
     for (n, m, seed) in [(3, 2, 1), (5, 3, 2), (6, 4, 3), (5, 5, 4), (4, 5, 5)]:
         flags = random_positive(n, m, seed).flags
         first = flags[0]._ints
+        _, _, solves = _rebuild_plan(n, m)
         for v in range(3, n + 1):
             prev, ints = list(flags[v - 2]._ints[:m - 1]), list(flags[v - 1]._ints)
-            for k, conditions in enumerate(_rebuild_plan(n, m)[v - 3], 1):
+            for k, conditions in enumerate(solves[v - 3], 1):
                 aug = _nested_cofactors(ints[:k - 1], prev, m)
                 assert [c[0] for c in conditions] == list(range(m - k, -1, -1))
                 for i, j, key, sign in conditions:
@@ -123,15 +125,23 @@ def test_nested_cofactors_match_one_elimination_each(monkeypatch):
 
 
 def test_rebuild_plan_covers_the_fan_chart():
-    # the planned keys and flag 2's {1, 2} edge keys are the fan chart's,
-    # each once
+    # the keys charts_to_flags reads, all taken from its plan: flag 2's
+    # {1, 2} edge keys and the planned keys are the fan chart's, each once;
+    # edge key j has weights (m - j, j) and sign (-1)^(j(j-1)/2), and the
+    # completion key of flag v = 2..n weights (1, m - 1) on {1, v}
     for n in range(3, 13):
         fan = Triangulation.fan(n)
         for m in range(2, 9):
-            keys = [index_at(n, (1, 2), (m - j, j)) for j in range(1, m)]
-            keys += [key for plan in _rebuild_plan(n, m) for conditions in plan
+            edge, ends, solves = _rebuild_plan(n, m)
+            keys = [key for key, _ in edge]
+            keys += [key for plan in solves for conditions in plan
                      for _, _, key, _ in conditions]
             assert sorted(keys) == chart_indices(fan, m)
+            assert [(key[:2], sign) for key, sign in edge] == [
+                ((m - j, j), (-1) ** (j * (j - 1) // 2)) for j in range(1, m)]
+            assert len(ends) == n - 1
+            for v, key in enumerate(ends, 2):
+                assert key in keys and key[0] == 1 and key[v - 1] == m - 1
 
 
 @settings(deadline=None, max_examples=25)
@@ -271,3 +281,49 @@ def test_random_chart_point_bound():
     p = random_chart_point(Triangulation.fan(6), 2, 7, bound=5)
     for v in p.values.values():
         assert 1 <= v.numerator <= 5 and 1 <= v.denominator <= 5
+
+
+def test_random_chart_point_draws_as_randint():
+    # randrange(bound) + 1 reads the _randbelow(bound) stream that
+    # randint(1, bound) reads, so every chart draws the values it drew
+    for bound in (1, 2, 20, 80, 10 ** 30):
+        for n in range(3, 10):
+            for m in range(2, 6):
+                t = random_triangulation(n, n + m)
+                seed = 1000 * n + 10 * m + bound % 97
+                rng = random.Random(seed)
+                want = {idx: Fraction(rng.randint(1, bound), rng.randint(1, bound))
+                        for idx in chart_indices(t, m)}
+                p = random_chart_point(t, m, seed, bound)
+                assert p.triangulation == t and p.m == m
+                assert list(p.values.items()) == list(want.items())
+
+
+def test_shared_rebuild_constants_are_immutable():
+    # vertex 1's standard flag and the antidiagonal block are one object
+    # per m, held as tuples, and no map of flags changes them
+    for m in range(2, 6):
+        a, b = random_positive(4, m, 3), random_positive(5, m, 4)
+        standard = a.flags[0]
+        assert b.flags[0] is standard
+        assert type(standard._ints) is tuple
+        assert all(type(row) is tuple for row in standard._ints)
+        anti = reconstruct._antidiagonal(m)
+        ones = tuple(tuple(int(r + t == m - 1) for t in range(m)) for r in range(m))
+        assert anti is reconstruct._antidiagonal(m) and anti == ones
+        assert type(anti) is tuple and all(type(row) is tuple for row in anti)
+        with pytest.raises(TypeError):
+            standard._ints[0][0] = 2
+        with pytest.raises(TypeError):
+            anti[0][m - 1] = 2
+        _shifted(a.flags, 1)
+        _shifted(b.flags, 3)
+        reverse(a)
+        standard.scale_rows([-1] * m)
+        standard.scale_rows(range(1, m + 1))
+        standard.orthogonal().orthogonal()
+        charts_to_flags(random_chart_point(Triangulation.fan(6), m, 5))
+        checked = DecoratedFlag(identity(m))
+        assert standard == checked and hash(standard) == hash(checked)
+        assert _fields(standard) == _fields(checked)
+        assert anti == ones
