@@ -8,9 +8,9 @@ restriction to the complementary interval is kept.  The action runs on
 chart values alone, with no flag and no determinant, on the chart's own
 triangulation T:
 
-1. insert the chord {p, q} if T lacks it, one ``mutation._flip`` per
-   crossing diagonal in the order of ``polygon._fan_flips`` toward p, on
-   one copy of the values and one diagonal set;
+1. insert the chord {p, q} if T lacks it: ``mutation._flip_toward`` p, one
+   ``mutation._flip`` per crossing diagonal in the order of
+   ``polygon._fan_flips``, on one copy of the values and one diagonal set;
 2. fill the chart on T's diagonals with an end outside the interval and the
    mirror images of T's diagonals inside, face by face, carrying the faces
    through to its triangulation, in three parts:
@@ -18,12 +18,13 @@ triangulation T:
    - each face inside, its vertices (u1, u2, u3) in interval order, is
      reversed by ``_reversal_program``, run by ``mutation._run_program``, on
      its values read under keys rewritten in one list, and moved to its
-     mirror image (mirror(u3), mirror(u2), mirror(u1)): interior weight
-     (i, j, k) to (k, i, j), and an edge value as it is, weight m - i at the
-     mirror of a vertex of weight i;
-   - the inside faces' keys leave a copy of the values before any image
-     key comes in, since inside faces share edges; their images, sorted,
-     join the faces kept.
+     mirror image (mirror(u3), mirror(u2), mirror(u1)), the mirror read off
+     one dict over the interval, at the weights of the per-m table
+     ``_face_images``: interior weight (i, j, k) to (k, i, j), and an edge
+     value as it is, weight m - i at the mirror of a vertex of weight i;
+   - each inside face's keys leave a copy of the values as the face is
+     done, and the image keys come in once every face is done, since inside
+     faces share edges; the images, sorted, join the faces kept.
 
 The exchange program of one m is C(m, 3) steps, written down by weight as
 the flip's is.  They are the octahedron-recurrence form of the reversal
@@ -46,8 +47,8 @@ import random
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError, _beyond, _fan_flips
-from .mutation import transport, _flip, _run_program
+from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError, _faces
+from .mutation import transport, _flip_toward, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
 
@@ -148,62 +149,65 @@ def _reversal_program(m):
 def _with_chord(p, iv):
     """The triangulation and chart values of the chart point p with the
     chord joining the ends of the interval ``iv`` put in: p's own when no
-    diagonal crosses it, otherwise a copy, one ``_flip`` per crossing
-    diagonal in the order of ``_fan_flips`` toward iv[0] (Hanke, Ottmann and
-    Schuierer), where one side opposite iv[0] at a time crosses the chord."""
-    n, m = p.triangulation.n, p.m
-    a = iv[0]
-    t, values = p.triangulation, p.values
-    lo, hi = sorted((a, iv[-1]))
+    diagonal crosses it, otherwise a copy, with each crossing diagonal
+    flipped toward iv[0] by ``_flip_toward`` (Hanke, Ottmann and Schuierer),
+    where one side opposite iv[0] at a time crosses the chord."""
+    t = p.triangulation
+    lo, hi = sorted((iv[0], iv[-1]))
     crossing = {(x, y) for x, y in t.diagonals if x < lo < y < hi or lo < x < hi < y}
-    if crossing:
-        values, diagonals = dict(values), set(t.diagonals)
-        for _, u, w, v in _fan_flips(_beyond(t), crossing, list(range(1, n + 1)), a):
-            _flip(values, diagonals, n, m, u, w, v, a)
-        t = Triangulation._of_chords(n, diagonals)
-    return t, values
+    if not crossing:
+        return t, p.values
+    values, diagonals = _flip_toward(p, crossing, iv[0])
+    return Triangulation._of(t.n, frozenset(diagonals), _faces(t.n, diagonals)), values
+
+
+@lru_cache(maxsize=None)
+def _face_images(m):
+    """For each position of ``admissible_indices(3, m)``, the weights its
+    value takes at the image face (w1, w2, w3) of an inside face: (k, i, j)
+    from an interior weight (i, j, k), which ``_reversal_program`` reverses,
+    and (k and m - k, j and m - j, i and m - i) from an edge weight, one of
+    them 0, which the program leaves as it is: weight m - i at the mirror of
+    a vertex of weight i."""
+    return tuple((k, i, j) if i and j and k else (k and m - k, j and m - j, i and m - i)
+                 for i, j, k in admissible_indices(3, m))
 
 
 def _act_on_chart(p, g):
     """The generator on a chart point, in the steps of the module docstring.
     The mirror keeps distances within the interval, so it takes diagonals
     to diagonals, and the faces walked are the result's, in ascending order
-    once sorted.  An edge weight of a face inside, one of them 0, goes to
-    (k and m - k, j and m - j, i and m - i) at its image (w1, w2, w3).
+    once sorted.  Only the values depend on the point: each face's keys,
+    its image weights and the mirror come from the interval and m.
     """
     n, m = p.triangulation.n, p.m
     iv = g.interval(n)
     t, values = _with_chord(p, iv)
     order = {v: s for s, v in enumerate(iv)}
-    # all old keys go before any image key comes in, since faces share edges
-    pts, steps = admissible_indices(3, m), _reversal_program(m)
-    old, new, faces = [], [], []
+    mirror = dict(zip(iv, reversed(iv)))
+    pts, steps, images = admissible_indices(3, m), _reversal_program(m), _face_images(m)
+    out, new, faces = dict(values), [], []
     for f in t.triangles():
         if all(v in order for v in f):
             u1, u2, u3 = sorted(f, key=order.get)
-            w1, w2, w3 = (g.mirror(v, n) - 1 for v in (u3, u2, u1))
+            w1, w2, w3 = (mirror[v] - 1 for v in (u3, u2, u1))
             faces.append(tuple(sorted((w1 + 1, w2 + 1, w3 + 1))))
             # one list, rewritten for each weight, as in ``chart_indices``
             idx = [0] * n
             keys = [tuple(idx) for idx[u1 - 1], idx[u2 - 1], idx[u3 - 1] in pts]
             x = [values[key] for key in keys]
             _run_program(x, steps)
+            # faces share edges: the image keys come in once every face is done
+            for key in keys:
+                out.pop(key, None)
             idx = [0] * n
-            for (i, j, k), value in zip(pts, x):
-                if i and j and k:
-                    idx[w1], idx[w2], idx[w3] = k, i, j
-                else:  # the program leaves edge values as they are
-                    idx[w1], idx[w2], idx[w3] = k and m - k, j and m - j, i and m - i
-                new.append((tuple(idx), value))
-            old += keys
+            new += [(tuple(idx), value)
+                    for (idx[w1], idx[w2], idx[w3]), value in zip(images, x)]
         else:
             faces.append(f)
-    out = dict(values)
-    for key in old:
-        out.pop(key, None)
     out.update(new)
-    diagonals = frozenset(d if any(v not in order for v in d)
-                          else tuple(sorted(g.mirror(v, n) for v in d)) for d in t.diagonals)
+    diagonals = frozenset(tuple(sorted((mirror[a], mirror[b])))
+                          if a in mirror and b in mirror else (a, b) for a, b in t.diagonals)
     return ChartPoint._of(Triangulation._of(n, diagonals, sorted(faces)), m, out)
 
 

@@ -29,9 +29,10 @@ A flag is held as its integer clearing only, always that of its coset's
 canonical representative, with mutually orthogonal rows, so flags compare
 and hash as held.  The checked constructor, for outside input, eliminates
 once to find the det and then takes each row less its projection on the
-rows before it; every derived flag holds such rows already, wrapped
-unchecked with its det in closed form.  Fraction rows are formed only by
-``rep``, for ``repr``; ``to_json`` writes each entry from the clearing.
+rows before it, keeping a row already orthogonal to them as cleared; every
+derived flag holds such rows already, wrapped unchecked with its det in
+closed form.  Fraction rows are formed only by ``rep``, for ``repr``;
+``to_json`` writes each entry from the clearing.
 """
 
 from fractions import Fraction
@@ -117,12 +118,16 @@ class DecoratedFlag:
         if d != 1:
             raise FlagError("flag representative has det %s != 1" % scalar_str(d))
         # the canonical rows: each row less its projection on the rows before
-        # it (by which row l varies over a coset), cleared with one gcd
+        # it (by which row l varies over a coset), cleared with one gcd; a row
+        # already orthogonal to them, as every row a library document holds,
+        # is kept as cleared, which has gcd 1 with its scale
         ints, scales = [], [1]
         for l, row in enumerate(rows):
-            nums, den = _project_out(row, ints)
-            r, e = _clear_ratio(nums, den * (s[l + 1] // s[l]))
-            ints.append(r)
+            e = s[l + 1] // s[l]
+            if any(sum(map(mul, row, r)) for r in ints):
+                nums, den = _project_out(row, ints)
+                row, e = _clear_ratio(nums, den * e)
+            ints.append(row)
             scales.append(scales[-1] * e)
         self._ints, self._scales, self._det = tuple(map(tuple, ints)), scales, d
 

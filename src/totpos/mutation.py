@@ -12,14 +12,16 @@ the dict, the old chart's weights that the new one lacks, and those it
 makes, the reverse; the intermediate weights, with all four entries
 positive, live only in the program's list.  ``flip_transport`` takes one
 step, ``transport`` one per quadrilateral of ``polygon._flip_quadrilaterals``,
-and ``cactus`` one per diagonal that crosses the chord it puts in.
+and ``_flip_toward`` one per diagonal it flips toward an apex: for ``cactus``
+each diagonal that crosses the chord it puts in, and for ``reconstruct``
+each diagonal not at vertex 1, the walk to the fan there.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, _flip_quadrilaterals
+from .polygon import Triangulation, ChartPoint, _beyond, _faces, _fan_flips, _flip_quadrilaterals
 
 
 class MutationError(ValueError):
@@ -95,7 +97,22 @@ def flip_transport(p, d):
     t = p.triangulation
     values, diagonals = dict(p.values), set(t.diagonals)
     _flip(values, diagonals, t.n, p.m, *t.quadrilateral(d))
-    return ChartPoint._of(Triangulation._of_chords(t.n, diagonals), p.m, values)
+    return ChartPoint._of(Triangulation._of(t.n, frozenset(diagonals), _faces(t.n, diagonals)),
+                          p.m, values)
+
+
+def _flip_toward(p, own, apex):
+    """(values, diagonals): copies of the chart values and the diagonal set
+    of p, with each diagonal of p in ``own`` flipped toward ``apex`` by one
+    ``_flip``, in the order of ``polygon._fan_flips`` over the whole
+    polygon: each lies opposite the apex on a face at the apex when its
+    turn comes, and becomes a diagonal at the apex."""
+    t = p.triangulation
+    values, diagonals = dict(p.values), set(t.diagonals)
+    if own:
+        for _, u, w, v in _fan_flips(_beyond(t), own, list(range(1, t.n + 1)), apex):
+            _flip(values, diagonals, t.n, p.m, u, w, v, apex)
+    return values, diagonals
 
 
 def transport(p, target):

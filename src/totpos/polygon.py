@@ -172,7 +172,10 @@ def _fan_flips(beyond, own, piece, apex):
     counterclockwise quadrilateral (apex, u, w, v).  (u, w) and (w, v) then
     lie opposite the apex, with the original faces beyond them.  Callers:
     ``_flip_quadrilaterals`` on each piece of a flip path, and
-    ``cactus._with_chord`` with ``own`` the diagonals crossing a chord."""
+    ``mutation._flip_toward`` on the whole polygon, for
+    ``cactus._with_chord`` with ``own`` the diagonals crossing a chord and
+    for ``reconstruct.charts_to_flags`` with ``own`` every diagonal not at
+    vertex 1."""
     i = piece.index(apex)
     u, last = piece[(i + 1) % len(piece)], piece[i - 1]
     sides = []

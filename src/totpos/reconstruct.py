@@ -2,8 +2,9 @@
 
 flags_to_charts reads the chart coordinates off a configuration.
 charts_to_flags rebuilds a gauge-fixed configuration from positive chart
-values on the fan at vertex 1, transporting a point on any other
-triangulation there first.  The first two flags are pinned explicitly (the
+values on the fan at vertex 1, a point on any other triangulation first
+flipped there, each of its diagonals not at vertex 1 toward vertex 1 with
+no flip path planned.  The first two flags are pinned explicitly (the
 standard flag, shared per m, and int antidiagonal rows matched to the
 {1, 2} edge values), and flag v = 3..n is solved row by row from the fan
 triangle (1, v-1, v), under a plan built once per (n, m) that holds every
@@ -27,7 +28,7 @@ from .rational import (scalar_str, _bareiss, _clear_ratio, _prefix_scales,
                        _project_out)
 from .flags import DecoratedFlag, Configuration, FlagError
 from .polygon import Triangulation, ChartPoint, chart_indices, index_at, PolygonError
-from .mutation import transport
+from .mutation import _flip_toward
 
 
 class ChartValueError(ValueError):
@@ -59,13 +60,14 @@ def charts_to_flags(p):
 
     Exact round trip: flags_to_charts(charts_to_flags(p), p.triangulation)
     returns p value for value.  The point is read on the fan at vertex 1,
+    reached by ``_flip_toward`` vertex 1 on p's diagonals not at vertex 1,
     so the representatives depend only on the point, and every chart of
     one point rebuilds the same flags.  The configuration keeps that fan
-    chart point as ``_fan``, for ``cactus.act_word`` to act on.
+    chart point, on a copy of the values, as ``_fan``, for
+    ``cactus.act_word`` to act on.
     """
     n, m = p.triangulation.n, p.m
-    fan = transport(p, Triangulation.fan(n))
-    values = fan.values
+    values, _ = _flip_toward(p, {d for d in p.triangulation.diagonals if d[0] != 1}, 1)
     edge, ends, solves = _rebuild_plan(n, m)
     # vertex 2: antidiagonal int rows lam_j = s_j s_{j-1} a_j b_{j-1} /
     # (b_j a_{j-1}), from the {1, 2} edge values a_j / b_j and signs s_j
@@ -81,7 +83,7 @@ def charts_to_flags(p):
         known = _solve_flag(values, plan, known, m)
         flags.append(_completed(known, values[end]))
     c = Configuration(flags)
-    c._fan = fan
+    c._fan = ChartPoint._of(Triangulation.fan(n), m, values)
     return c
 
 

@@ -6,7 +6,8 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             cyclic_interval, PolygonError)
 from totpos.cactus import (IntervalGen, word_from_json, word_to_json,
                            underlying_permutation, act_generator, act_word,
-                           verify_relations, _reversal_program, _with_chord)
+                           verify_relations, _face_images, _reversal_program,
+                           _with_chord)
 from totpos.mutation import transport, _run_program
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
@@ -267,6 +268,22 @@ def test_reversal_program_closed_form_is_the_quiver_mutations(m):
     assert _reversal_program(m) == _reversal_program_reference(m)
 
 
+def test_face_images_are_the_per_weight_rule():
+    # by position, the weight at the image face (w1, w2, w3): the reversed
+    # triangle's value x(j, k, i) lands on (i, j, k), and an edge value keeps
+    # its edge, weight m - i at the mirror of a vertex of weight i
+    for m in range(2, 13):
+        pts = admissible_indices(3, m)
+        images = _face_images(m)
+        assert len(images) == len(pts)
+        for (i, j, k), image in zip(pts, images):
+            if i and j and k:
+                assert image == (k, i, j), (m, i, j, k)
+            else:
+                assert image == (k and m - k, j and m - j, i and m - i), (m, i, j, k)
+            assert image in pts
+
+
 def test_chart_action_runs_no_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("elimination on the chart-level action path")
@@ -317,7 +334,6 @@ def test_chord_insertion_flips_each_crossing_diagonal_once(monkeypatch, n, diago
         return real(*args)
 
     monkeypatch.setattr(mutation, "_flip", counted)
-    monkeypatch.setattr(cactus_module, "_flip", counted, raising=False)
     for m in (2, 3):
         calls.clear()
         point = random_chart_point(t, m, 17 * m)
@@ -346,7 +362,7 @@ def test_chord_insertion_is_a_transport_to_a_triangulation_with_the_chord(case, 
         return real(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cactus_module, "_flip", counted)
+        patch.setattr(mutation, "_flip", counted)
         t_out, values = _with_chord(point, IntervalGen(p, q).interval(n))
     lo, hi = sorted((p, q))
     assert (lo, hi) in t_out.diagonals or hi - lo in (1, n - 1)

@@ -295,6 +295,47 @@ def test_the_checked_constructor_is_the_one_place_that_canonicalizes(m, seed, da
         assert a._deltas == {} and b._deltas == {}
 
 
+def _checked_clearing_reference(rows):
+    """The checked constructor's (int rows, prefix scales, det) with every row
+    taken less its projection on the rows before it and cleared again."""
+    ints, s = _integer_clearing(Mat(rows).entries)
+    out, scales = [], [1]
+    for l, row in enumerate(ints):
+        nums, den = rational._project_out(row, out)
+        r, e = rational._clear_ratio(nums, den * (s[l + 1] // s[l]))
+        out.append(tuple(r))
+        scales.append(scales[-1] * e)
+    return tuple(out), scales, det(Mat(rows))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(3, 6), st.integers(2, 6), st.integers(0, 10 ** 6), st.data())
+def test_checked_constructor_keeps_orthogonal_rows_as_cleared(n, m, seed, data):
+    # a library document's rows are orthogonal and reduced: read back, no row
+    # is projected or cleared again, and the clearing is the one the full
+    # path gives, as it is for rows moved by L, which are not orthogonal
+    c = random_positive(n, m, seed)
+    docs = [json.loads(json.dumps(x.to_json())) for x in (c, reverse(c))]
+
+    def refuse(*args):
+        raise AssertionError("an orthogonal row was projected or cleared again")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flags, "_project_out", refuse)
+        patch.setattr(flags, "_clear_ratio", refuse)
+        read = [Configuration.from_json(doc) for doc in docs]
+    entries = st.integers(-4, 4).filter(bool)
+    lower = [[data.draw(entries) if j < i else int(i == j) for j in range(m)]
+             for i in range(m)]
+    for doc, x in zip(docs, read):
+        for rows, f in zip(doc["flags"], x.flags):
+            assert (f._ints, f._scales, f._det) == _checked_clearing_reference(rows)
+            moved = mat_mul(Mat(lower), Mat(rows)).entries
+            g = DecoratedFlag(moved)
+            assert (g._ints, g._scales, g._det) == _checked_clearing_reference(moved)
+            assert g == f
+
+
 def test_library_flags_are_their_own_canonical_representatives():
     for m in (2, 3, 4, 5):
         c = random_positive(3, m, 37 + m)

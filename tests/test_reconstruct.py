@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totpos.flags as flags
+import totpos.mutation as mutation
+import totpos.polygon as polygon
 import totpos.rational as rational
 import totpos.reconstruct as reconstruct
 from totpos.rational import Mat, _clear_row, _integer_clearing
@@ -99,6 +101,30 @@ def test_charts_to_flags_matches_the_reference_on_wider_charts(size, data):
     bound = data.draw(st.sampled_from([20, 80] if m <= 6 else [20]))
     p = random_chart_point(t, m, data.draw(st.integers(0, 2 ** 32)), bound)
     got, want = charts_to_flags(p), _charts_to_flags_reference(p)
+    assert [_fields(f) for f in got.flags] == [_fields(f) for f in want.flags]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(3, 10).flatmap(triangulations), st.integers(2, 5),
+       st.integers(0, 2 ** 32))
+def test_rebuild_flips_each_diagonal_off_vertex_1_toward_it(t, m, seed):
+    # the walk to the fan at vertex 1 plans no flip path: one flip per
+    # diagonal not at vertex 1, landing where a transport there lands
+    p = random_chart_point(t, m, seed)
+    calls = []
+    real = mutation._flip
+
+    def refuse(*args):
+        raise AssertionError("the rebuild planned a flip path")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (polygon, mutation):
+            patch.setattr(module, "_flip_quadrilaterals", refuse)
+        patch.setattr(mutation, "_flip", lambda *a: calls.append(a[4:]) or real(*a))
+        got = charts_to_flags(p)
+    assert len(calls) == sum(d[0] != 1 for d in t.diagonals)
+    assert got._fan == transport(p, Triangulation.fan(t.n))
+    want = _charts_to_flags_reference(p)
     assert [_fields(f) for f in got.flags] == [_fields(f) for f in want.flags]
 
 
