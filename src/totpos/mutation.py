@@ -73,8 +73,10 @@ def _flip(values, diagonals, n, m, a, b, c, e):
     its ascending diagonal pairs: only the {a, c} edge and the interiors of
     faces (a, b, c) and (a, c, e) give way, to the {b, e} edge and those of
     (a, b, e), (b, c, e).  The values of the quadrilateral go into one list
-    by position, the program runs on it, and the plan deletes its ``gone``
-    keys and sets its ``made`` ones, in the order of the weights."""
+    by position, read by one ``map`` of ``values.get`` over its keys (None
+    at the new chart's weights), the program runs on it, and the plan
+    deletes its ``gone`` keys and sets its ``made`` ones, in the order of
+    the weights."""
     if a > c:  # one rotation per flip, so the new keys go in in one order
         a, b, c, e = c, e, a, b
     pts, steps, gone, made = _flip_program(m)
@@ -82,7 +84,7 @@ def _flip(values, diagonals, n, m, a, b, c, e):
     idx = [0] * n
     keys = [tuple(idx) for idx[a - 1], idx[b - 1], idx[c - 1], idx[e - 1] in pts]
     # the new chart's weights with j, l > 0 start unset: the program fills them
-    x = [values.get(key) for key in keys]
+    x = list(map(values.get, keys))
     _run_program(x, steps)
     for s in gone:
         del values[keys[s]]

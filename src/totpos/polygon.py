@@ -4,7 +4,6 @@ Vertices are labeled 1..n counterclockwise.  ``cyclic_interval`` walks the
 labels here; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
 """
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, pairwise
 
@@ -43,9 +42,14 @@ def _faces(n, diagonals):
 
 
 class Triangulation:
-    """A triangulation of the labeled n-gon by noncrossing diagonals."""
+    """A triangulation of the labeled n-gon by noncrossing diagonals.
 
-    __slots__ = ("n", "diagonals", "_faces")
+    Besides its diagonals and faces it holds its side map, ``_beyond``, which
+    the constructors set to None and ``polygon._beyond`` fills on first read:
+    no reader changes it, and it lives as long as the triangulation does.
+    ``==`` and ``hash`` read n and the diagonals only."""
+
+    __slots__ = ("n", "diagonals", "_faces", "_beyond")
 
     def __init__(self, n, diagonals):
         if type(n) is not int:
@@ -75,6 +79,7 @@ class Triangulation:
         self.n = n
         self.diagonals = frozenset(diags)
         self._faces = _faces(n, diags)
+        self._beyond = None
 
     @classmethod
     def _of(cls, n, diagonals, faces):
@@ -85,6 +90,7 @@ class Triangulation:
         t.n = n
         t.diagonals = diagonals
         t._faces = faces
+        t._beyond = None
         return t
 
     @classmethod
@@ -157,10 +163,13 @@ def _fan(n, apex):
 def _beyond(t):
     """The third vertex of the face beyond each side: ascending face triples
     run counterclockwise, so (u, w, v) is a face exactly when
-    ``_beyond(t)[v, u] == w``."""
-    beyond = {}
-    for x, y, z in t._faces:
-        beyond[x, y], beyond[y, z], beyond[z, x] = z, x, y
+    ``_beyond(t)[v, u] == w``.  Built from the faces on first read and held
+    by t, so each triangulation builds it once; callers only read it."""
+    beyond = t._beyond
+    if beyond is None:
+        beyond = t._beyond = {}
+        for x, y, z in t._faces:
+            beyond[x, y], beyond[y, z], beyond[z, x] = z, x, y
     return beyond
 
 
@@ -202,13 +211,15 @@ def _flip_quadrilaterals(t1, t2):
     The shared diagonals cut the polygon into pieces; flips in different
     pieces commute.  Each piece goes through the fan at its vertex with the
     most unshared diagonals of t1 and t2 in the piece (ties go to the lowest
-    label): a piece with k + 3 vertices takes k flips less the apex's
-    diagonals in each half.
+    label), counted in one pass over the unshared diagonals per piece: a
+    piece with k + 3 vertices takes k flips less the apex's diagonals in
+    each half.
     """
     if t1.n != t2.n:
         raise PolygonError("triangulations of different polygons")
     shared = t1.diagonals & t2.diagonals
     own1, own2 = t1.diagonals - shared, t2.diagonals - shared
+    own = own1 | own2
     # each piece is an ascending vertex list, its boundary counterclockwise
     pieces = [list(range(1, t1.n + 1))]
     for a, b in sorted(shared):
@@ -221,10 +232,12 @@ def _flip_quadrilaterals(t1, t2):
     for s in pieces:
         if len(s) < 4:
             continue
-        inside = set(s)
-        degree = Counter(v for d in own1 | own2
-                         if d[0] in inside and d[1] in inside for v in d)
-        apex = min(s, key=lambda v: (-degree[v], v))
+        inside, degree = set(s), [0] * (t1.n + 1)
+        for a, b in own:
+            if a in inside and b in inside:
+                degree[a] += 1
+                degree[b] += 1
+        apex = max(s, key=degree.__getitem__)  # the first, lowest, of the busiest
         path += [(u, w, v, a) for a, u, w, v in _fan_flips(beyond1, own1, s, apex)]
         # t2's created diagonals {apex, w}, flipped in reverse order, lead back to t2
         path += reversed(_fan_flips(beyond2, own2, s, apex))

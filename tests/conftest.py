@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from totpos.rational import (Mat, scalar, scalar_str, SingularMatrixError, _bare
 from totpos.flags import (DecoratedFlag, Configuration, FlagError, NotGenericError,
                           admissible_indices, _shifted, face, reverse, rotate, rotate_inv)
 from totpos.axioms import DIAGONAL_SHIFTS
-from totpos.polygon import Triangulation, ChartPoint, chart_indices, index_at
+from totpos.polygon import (Triangulation, ChartPoint, PolygonError, chart_indices,
+                            index_at, _fan_flips)
 from totpos.mutation import _run_program
 from totpos.cactus import _reversal_program, _with_chord
 
@@ -310,6 +312,48 @@ def _reversal_program_reference(m):
                 r[t] = -r[t]
             b[t] = [-e for e in row]
     return tuple(steps)
+
+
+def beyond_reference(t):
+    """The side map of t built afresh from its faces, as polygon._beyond
+    built it on every call before a triangulation held it: (u, w, v) is a
+    face exactly when the map takes (v, u) to w."""
+    beyond = {}
+    for x, y, z in t.triangles():
+        beyond[x, y], beyond[y, z], beyond[z, x] = z, x, y
+    return beyond
+
+
+def flip_quadrilaterals_reference(t1, t2):
+    """polygon._flip_quadrilaterals as it was before each triangulation held
+    its side map and each piece's degrees were counted in one pass: fresh
+    side maps, and a Counter over the unshared diagonals for each piece.
+    The oracle for the library's flip path, quadrilateral for
+    quadrilateral."""
+    if t1.n != t2.n:
+        raise PolygonError("triangulations of different polygons")
+    shared = t1.diagonals & t2.diagonals
+    own1, own2 = t1.diagonals - shared, t2.diagonals - shared
+    # each piece is an ascending vertex list, its boundary counterclockwise
+    pieces = [list(range(1, t1.n + 1))]
+    for a, b in sorted(shared):
+        s = next(s for s in pieces if a in s and b in s)
+        pieces.remove(s)
+        i, j = s.index(a), s.index(b)
+        pieces += [s[i:j + 1], s[:i + 1] + s[j:]]
+    beyond1, beyond2 = beyond_reference(t1), beyond_reference(t2)
+    path = []
+    for s in pieces:
+        if len(s) < 4:
+            continue
+        inside = set(s)
+        degree = Counter(v for d in own1 | own2
+                         if d[0] in inside and d[1] in inside for v in d)
+        apex = min(s, key=lambda v: (-degree[v], v))
+        path += [(u, w, v, a) for a, u, w, v in _fan_flips(beyond1, own1, s, apex)]
+        # t2's created diagonals {apex, w}, flipped in reverse order, lead back to t2
+        path += reversed(_fan_flips(beyond2, own2, s, apex))
+    return path
 
 
 def act_on_chart_reference(p, g):

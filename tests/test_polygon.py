@@ -12,10 +12,11 @@ from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
                             edge_values, cyclic_interval, PolygonError)
 from totpos.flags import Configuration
 from totpos.reconstruct import flags_to_charts, random_positive, random_chart_point
-from totpos.mutation import transport
-from totpos.cactus import IntervalGen, act_word
+from totpos.mutation import transport, flip_transport, _flip_toward
+from totpos.cactus import IntervalGen, act_word, _with_chord
 
-from conftest import chords_cross, random_triangulation, sharing_pairs, triangulations
+from conftest import (beyond_reference, chords_cross, flip_quadrilaterals_reference,
+                      random_triangulation, sharing_pairs, triangulations)
 
 
 def test_triangulation_validation():
@@ -187,6 +188,56 @@ def test_flip_path_routes_through_the_busiest_fan(pair):
     assert len(t1.diagonals - t2.diagonals) <= len(path) <= 2 * (n - 3) - best
     for p in range(1, n + 1):
         assert len(flip_path(t1, Triangulation.fan(n, p))) == n - 3 - _degree(t1, p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(4, 16).flatmap(lambda n: st.one_of(
+    st.tuples(triangulations(n), triangulations(n)), sharing_pairs(n),
+    triangulations(n).map(lambda t: (t, Triangulation(t.n, t.diagonals))))))
+def test_flip_path_is_the_reference_planners(pair):
+    """Quadrilateral for quadrilateral, in both directions, the flip path is
+    the one planned on fresh side maps with a Counter of degrees per piece."""
+    for t1, t2 in (pair, pair[::-1]):
+        assert polygon._flip_quadrilaterals(t1, t2) == flip_quadrilaterals_reference(t1, t2)
+
+
+def _made_triangulations(n, seed):
+    """A triangulation from each constructor, and from each operation that
+    makes one, named."""
+    drawn = random_triangulation(n, seed)
+    public = Triangulation(n, drawn.diagonals)
+    d = min(public.diagonals)
+    chord = cyclic_interval(2, n - 1, n)  # crosses the fan's diagonal (1, 3), n >= 5
+    return [
+        ("Triangulation", public),
+        ("_of", Triangulation._of(n, drawn.diagonals, polygon._faces(n, drawn.diagonals))),
+        ("_of_chords", Triangulation._of_chords(n, [(b, a) for a, b in drawn.diagonals])),
+        ("fan", Triangulation.fan(n, seed % n + 1)),
+        ("flip", public.flip(d)),
+        ("flip_transport", flip_transport(random_chart_point(public, 3, seed), d).triangulation),
+        ("_with_chord", _with_chord(random_chart_point(Triangulation.fan(n), 3, seed), chord)[0]),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_triangulations_hold_one_side_map_that_no_reader_changes(n):
+    for seed in range(3):
+        for name, t in _made_triangulations(n, seed):
+            held = polygon._beyond(t)
+            assert held == beyond_reference(t), name
+            assert polygon._beyond(t) is held, name
+            before = dict(held)
+            p = random_chart_point(t, 3, seed)
+            other = random_triangulation(n, seed + 50)
+            assert transport(transport(p, other), t) == p
+            for d in sorted(t.diagonals):
+                t.quadrilateral(d)
+            for apex in range(1, n + 1):
+                _flip_toward(p, {d for d in t.diagonals if apex not in d}, apex)
+            assert polygon._beyond(t) is held and held == before, name
+            # equality and hashing read the diagonals, not the side map
+            fresh = Triangulation(n, t.diagonals)
+            assert fresh == t and t == fresh and hash(fresh) == hash(t), name
 
 
 def _boundary_and_diagonals(t):
