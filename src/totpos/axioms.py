@@ -39,7 +39,7 @@ def relabel_chart(p, perm):
     """
     t = p.triangulation
     inv = {v: i for i, v in enumerate(perm, 1)}
-    new_t = Triangulation._of_chords(t.n, [(inv[a], inv[b]) for a, b in t.diagonals])
+    new_t = Triangulation(t.n, [(inv[a], inv[b]) for a, b in t.diagonals])
     values = {tuple(idx[v - 1] for v in perm): x for idx, x in p.values.items()}
     return ChartPoint._of(new_t, p.m, values)
 

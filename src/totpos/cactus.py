@@ -11,10 +11,10 @@ triangulation T:
 1. insert the chord {p, q} if T lacks it: ``mutation._flip_toward`` p, one
    ``mutation._flip`` per crossing diagonal in the order of
    ``polygon._fan_flips``, on one copy of the values and one diagonal set;
-2. fill the chart on T's diagonals with an end outside the interval and the
-   mirror images of T's diagonals inside, face by face, carrying the faces
-   through to its triangulation, in three parts:
-   - values and faces supported outside the interval carry over as they are;
+2. wrap T's diagonals with an end outside the interval and the mirror
+   images of T's diagonals inside by ``Triangulation._of``, which derives
+   its faces, and fill its chart face by face, in three parts:
+   - values supported outside the interval carry over as they are;
    - each face inside, its vertices (u1, u2, u3) in interval order, is
      reversed by ``_reversal_program``, run by ``mutation._run_program``, on
      its values read under keys rewritten in one list, and moved to its
@@ -24,7 +24,7 @@ triangulation T:
      value as it is, weight m - i at the mirror of a vertex of weight i;
    - each inside face's keys leave a copy of the values as the face is
      done, and the image keys come in once every face is done, since inside
-     faces share edges; the images, sorted, join the faces kept.
+     faces share edges.
 
 The exchange program of one m is C(m, 3) steps, written down by weight as
 the flip's is.  They are the octahedron-recurrence form of the reversal
@@ -47,7 +47,7 @@ import random
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError, _faces
+from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError
 from .mutation import transport, _flip_toward, _run_program
 from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
 
@@ -158,7 +158,7 @@ def _with_chord(p, iv):
     if not crossing:
         return t, p.values
     values, diagonals = _flip_toward(p, crossing, iv[0])
-    return Triangulation._of(t.n, frozenset(diagonals), _faces(t.n, diagonals)), values
+    return Triangulation._of(t.n, frozenset(diagonals)), values
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +176,7 @@ def _face_images(m):
 def _act_on_chart(p, g):
     """The generator on a chart point, in the steps of the module docstring.
     The mirror keeps distances within the interval, so it takes diagonals
-    to diagonals, and the faces walked are the result's, in ascending order
-    once sorted.  Only the values depend on the point: each face's keys,
+    to diagonals.  Only the values depend on the point: each face's keys,
     its image weights and the mirror come from the interval and m.
     """
     n, m = p.triangulation.n, p.m
@@ -186,12 +185,11 @@ def _act_on_chart(p, g):
     order = {v: s for s, v in enumerate(iv)}
     mirror = dict(zip(iv, reversed(iv)))
     pts, steps, images = admissible_indices(3, m), _reversal_program(m), _face_images(m)
-    out, new, faces = dict(values), [], []
+    out, new = dict(values), []
     for f in t.triangles():
         if all(v in order for v in f):
             u1, u2, u3 = sorted(f, key=order.get)
             w1, w2, w3 = (mirror[v] - 1 for v in (u3, u2, u1))
-            faces.append(tuple(sorted((w1 + 1, w2 + 1, w3 + 1))))
             # one list, rewritten for each weight, as in ``chart_indices``
             idx = [0] * n
             keys = [tuple(idx) for idx[u1 - 1], idx[u2 - 1], idx[u3 - 1] in pts]
@@ -203,12 +201,10 @@ def _act_on_chart(p, g):
             idx = [0] * n
             new += [(tuple(idx), value)
                     for (idx[w1], idx[w2], idx[w3]), value in zip(images, x)]
-        else:
-            faces.append(f)
     out.update(new)
     diagonals = frozenset(tuple(sorted((mirror[a], mirror[b])))
                           if a in mirror and b in mirror else (a, b) for a, b in t.diagonals)
-    return ChartPoint._of(Triangulation._of(n, diagonals, sorted(faces)), m, out)
+    return ChartPoint._of(Triangulation._of(n, diagonals), m, out)
 
 
 def act_generator(x, g):

@@ -14,14 +14,16 @@ positive, live only in the program's list.  ``flip_transport`` takes one
 step, ``transport`` one per quadrilateral of ``polygon._flip_quadrilaterals``,
 and ``_flip_toward`` one per diagonal it flips toward an apex: for ``cactus``
 each diagonal that crosses the chord it puts in, and for ``reconstruct``
-each diagonal not at vertex 1, the walk to the fan there.
+each diagonal not at vertex 1, the walk to the fan there.  The flips read
+the side map each triangulation holds from construction, and a new one is
+wrapped from its diagonals alone by ``Triangulation._of``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from .flags import admissible_indices
-from .polygon import Triangulation, ChartPoint, _beyond, _faces, _fan_flips, _flip_quadrilaterals
+from .polygon import Triangulation, ChartPoint, _fan_flips, _flip_quadrilaterals
 
 
 class MutationError(ValueError):
@@ -99,8 +101,7 @@ def flip_transport(p, d):
     t = p.triangulation
     values, diagonals = dict(p.values), set(t.diagonals)
     _flip(values, diagonals, t.n, p.m, *t.quadrilateral(d))
-    return ChartPoint._of(Triangulation._of(t.n, frozenset(diagonals), _faces(t.n, diagonals)),
-                          p.m, values)
+    return ChartPoint._of(Triangulation._of(t.n, frozenset(diagonals)), p.m, values)
 
 
 def _flip_toward(p, own, apex):
@@ -112,7 +113,7 @@ def _flip_toward(p, own, apex):
     t = p.triangulation
     values, diagonals = dict(p.values), set(t.diagonals)
     if own:
-        for _, u, w, v in _fan_flips(_beyond(t), own, list(range(1, t.n + 1)), apex):
+        for _, u, w, v in _fan_flips(t._beyond, own, list(range(1, t.n + 1)), apex):
             _flip(values, diagonals, t.n, p.m, u, w, v, apex)
     return values, diagonals
 

@@ -2,10 +2,14 @@
 
 Vertices are labeled 1..n counterclockwise.  ``cyclic_interval`` walks the
 labels here; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
+A triangulation is built from its diagonals alone, checked by the
+constructor or trusted by ``Triangulation._of``; both derive its faces and
+its side map in ``_wrap``, the one place that says how faces follow from
+diagonals.
 """
 
 from functools import lru_cache
-from itertools import combinations, pairwise
+from itertools import combinations
 
 from .flags import admissible_indices, check_index
 from .rational import scalar, scalar_str
@@ -25,29 +29,13 @@ def cyclic_interval(p, q, n):
     return out
 
 
-def _is_boundary(a, b, n):
-    a, b = sorted((a, b))
-    return b - a == 1 or (a == 1 and b == n)
-
-
-def _faces(n, diagonals):
-    """The ascending face triples of the n-gon cut by the ascending pairs
-    ``diagonals``: (a, u, v) for consecutive u < v among a's neighbours above a."""
-    above = {a: [a + 1] for a in range(1, n)}
-    above[1].append(n)
-    for a, b in diagonals:
-        above[a].append(b)
-    return [(a, u, v) for a in range(1, n - 1)
-            for u, v in pairwise(sorted(above[a]))]
-
-
 class Triangulation:
     """A triangulation of the labeled n-gon by noncrossing diagonals.
 
-    Besides its diagonals and faces it holds its side map, ``_beyond``, which
-    the constructors set to None and ``polygon._beyond`` fills on first read:
-    no reader changes it, and it lives as long as the triangulation does.
-    ``==`` and ``hash`` read n and the diagonals only."""
+    Besides its diagonals it holds its faces and its side map, ``_beyond``,
+    which both constructors derive from the diagonals by ``_wrap``: no reader
+    changes them, and they live as long as the triangulation does.  ``==``
+    and ``hash`` read n and the diagonals only."""
 
     __slots__ = ("n", "diagonals", "_faces", "_beyond")
 
@@ -63,7 +51,7 @@ class Triangulation:
             a, b = sorted(d)
             if not (1 <= a < b <= n):
                 raise PolygonError("bad vertex pair (%d, %d)" % (a, b))
-            if _is_boundary(a, b, n):
+            if b - a in (1, n - 1):
                 raise PolygonError("(%d, %d) is a boundary edge, not a diagonal" % (a, b))
             diags.add((a, b))
         if len(diags) != n - 3:
@@ -76,30 +64,14 @@ class Triangulation:
             if stack and stack[-1][1] < b:  # ends beyond the innermost
                 raise PolygonError("diagonals %s and %s cross" % (stack[-1], (a, b)))
             stack.append((a, b))
-        self.n = n
-        self.diagonals = frozenset(diags)
-        self._faces = _faces(n, diags)
-        self._beyond = None
+        _wrap(self, n, frozenset(diags))
 
     @classmethod
-    def _of(cls, n, diagonals, faces):
-        """Wrap a frozenset of ascending diagonal pairs and their ascending
-        list of ascending face triples as is, without checking; for
-        triangulations derived from a valid one, such as by a flip."""
-        t = object.__new__(cls)
-        t.n = n
-        t.diagonals = diagonals
-        t._faces = faces
-        t._beyond = None
-        return t
-
-    @classmethod
-    def _of_chords(cls, n, chords):
-        """The triangulation by the diagonals among the vertex pairs ``chords``,
-        without checking; the diagonals must triangulate the polygon."""
-        diagonals = frozenset((min(a, b), max(a, b)) for a, b in chords
-                              if a != b and not _is_boundary(a, b, n))
-        return cls._of(n, diagonals, _faces(n, diagonals))
+    def _of(cls, n, diagonals):
+        """Wrap a frozenset of ascending diagonal pairs as is, without
+        checking; for triangulations derived from a valid one, such as by a
+        flip."""
+        return _wrap(object.__new__(cls), n, diagonals)
 
     @staticmethod
     def fan(n, apex=1):
@@ -136,16 +108,15 @@ class Triangulation:
         a, c = d = tuple(sorted(d))
         if d not in self.diagonals:
             raise PolygonError("%s is not a diagonal" % (d,))
-        beyond = _beyond(self)
-        b, e = beyond.get((c, a)), beyond.get((a, c))
-        if b is None or e is None:  # only a trusted, inconsistent face list
+        b, e = self._beyond.get((c, a)), self._beyond.get((a, c))
+        if b is None or e is None:  # only trusted, crossing diagonals
             raise PolygonError("diagonal %s does not border two faces" % (d,))
         return (a, b, c, e)
 
     def flip(self, d):
         """Replace diagonal d by the opposite diagonal of its quadrilateral."""
         a, b, c, e = self.quadrilateral(d)
-        return Triangulation._of_chords(self.n, self.diagonals - {(a, c)} | {(b, e)})
+        return Triangulation._of(self.n, self.diagonals - {(a, c)} | {(b, e) if b < e else (e, b)})
 
     def to_json(self):
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
@@ -155,22 +126,30 @@ class Triangulation:
         return cls(data["n"], data["diagonals"])
 
 
+def _wrap(t, n, diagonals):
+    """Set t's n, diagonals, faces and side map, the two derived from the
+    frozenset of ascending pairs ``diagonals`` in one pass over one sort of
+    them, with the edge (1, n) as the last pair at vertex 1: each pair (a, v)
+    closes the face (a, u, v), u the end of the pair before it at a, or
+    a + 1.  So the faces come out ascending, and ascending face triples run
+    counterclockwise: (u, w, v) is a face exactly when ``t._beyond[v, u] ==
+    w``, the third vertex of the face beyond side (v, u)."""
+    faces, beyond = [], {}
+    a = 0
+    for x, v in sorted([*diagonals, (1, n)]):
+        if x != a:
+            a, u = x, x + 1
+        faces.append((a, u, v))
+        beyond[a, u], beyond[u, v], beyond[v, a] = v, a, u
+        u = v
+    t.n, t.diagonals, t._faces, t._beyond = n, diagonals, faces, beyond
+    return t
+
+
 @lru_cache(maxsize=None)
 def _fan(n, apex):
-    return Triangulation._of_chords(n, [(apex, v) for v in range(1, n + 1)])
-
-
-def _beyond(t):
-    """The third vertex of the face beyond each side: ascending face triples
-    run counterclockwise, so (u, w, v) is a face exactly when
-    ``_beyond(t)[v, u] == w``.  Built from the faces on first read and held
-    by t, so each triangulation builds it once; callers only read it."""
-    beyond = t._beyond
-    if beyond is None:
-        beyond = t._beyond = {}
-        for x, y, z in t._faces:
-            beyond[x, y], beyond[y, z], beyond[z, x] = z, x, y
-    return beyond
+    ends = [v for v in range(1, n + 1) if (v - apex) % n not in (0, 1, n - 1)]
+    return Triangulation._of(n, frozenset((min(apex, v), max(apex, v)) for v in ends))
 
 
 def _fan_flips(beyond, own, piece, apex):
@@ -227,7 +206,7 @@ def _flip_quadrilaterals(t1, t2):
         pieces.remove(s)
         i, j = s.index(a), s.index(b)
         pieces += [s[i:j + 1], s[:i + 1] + s[j:]]
-    beyond1, beyond2 = _beyond(t1), _beyond(t2)
+    beyond1, beyond2 = t1._beyond, t2._beyond
     path = []
     for s in pieces:
         if len(s) < 4:
@@ -242,12 +221,6 @@ def _flip_quadrilaterals(t1, t2):
         # t2's created diagonals {apex, w}, flipped in reverse order, lead back to t2
         path += reversed(_fan_flips(beyond2, own2, s, apex))
     return path
-
-
-def flip_path(t1, t2):
-    """The flipped diagonals of ``_flip_quadrilaterals``, from t1 to t2, as
-    ascending pairs."""
-    return [(a, c) if a < c else (c, a) for a, _, c, _ in _flip_quadrilaterals(t1, t2)]
 
 
 def index_at(n, vertices, weights):

@@ -15,7 +15,7 @@ from totpos.flags import (DecoratedFlag, Configuration, FlagError, NotGenericErr
                           admissible_indices, _shifted, face, reverse, rotate, rotate_inv)
 from totpos.axioms import DIAGONAL_SHIFTS
 from totpos.polygon import (Triangulation, ChartPoint, PolygonError, chart_indices,
-                            index_at, _fan_flips)
+                            index_at, _fan_flips, _flip_quadrilaterals)
 from totpos.mutation import _run_program
 from totpos.cactus import _reversal_program, _with_chord
 
@@ -315,9 +315,9 @@ def _reversal_program_reference(m):
 
 
 def beyond_reference(t):
-    """The side map of t built afresh from its faces, as polygon._beyond
-    built it on every call before a triangulation held it: (u, w, v) is a
-    face exactly when the map takes (v, u) to w."""
+    """The side map of t built afresh from its faces, as the library built
+    it on every call before a triangulation held it: (u, w, v) is a face
+    exactly when the map takes (v, u) to w."""
     beyond = {}
     for x, y, z in t.triangles():
         beyond[x, y], beyond[y, z], beyond[z, x] = z, x, y
@@ -354,6 +354,13 @@ def flip_quadrilaterals_reference(t1, t2):
         # t2's created diagonals {apex, w}, flipped in reverse order, lead back to t2
         path += reversed(_fan_flips(beyond2, own2, s, apex))
     return path
+
+
+def flip_path(t1, t2):
+    """The flipped diagonals of ``polygon._flip_quadrilaterals``, from t1 to
+    t2, as ascending pairs: what the flip path's tests replay and count,
+    kept here since no library code reads a path as diagonals."""
+    return [(a, c) if a < c else (c, a) for a, _, c, _ in _flip_quadrilaterals(t1, t2)]
 
 
 def act_on_chart_reference(p, g):
@@ -398,7 +405,7 @@ def act_on_chart_reference(p, g):
                     out[index_at(n, image, (k, i, j))] = value
     chords = [d if any(v not in order for v in d) else [g.mirror(v, n) for v in d]
               for d in t.diagonals]
-    return ChartPoint._of(Triangulation._of_chords(n, chords), m, out)
+    return ChartPoint._of(Triangulation(n, chords), m, out)
 
 
 def chords_cross(d1, d2, n):
@@ -415,7 +422,7 @@ def relabel_chart_reference(p, perm):
     t = p.triangulation
     n = t.n
     inv = {perm[i - 1]: i for i in range(1, n + 1)}
-    new_t = Triangulation._of_chords(n, [(inv[a], inv[b]) for a, b in t.diagonals])
+    new_t = Triangulation(n, [(inv[a], inv[b]) for a, b in t.diagonals])
     values = {}
     for idx in chart_indices(new_t, p.m):
         old = [0] * n

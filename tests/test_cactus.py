@@ -23,8 +23,8 @@ def _adapted_triangulation(n, iv):
     """A triangulation cutting along {p, q}: inside fan at q, outside fan
     at p."""
     p, q = iv[0], iv[-1]
-    return Triangulation._of_chords(
-        n, [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)])
+    chords = [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)]
+    return Triangulation(n, [c for c in chords if (c[0] - c[1]) % n not in (0, 1, n - 1)])
 
 
 def _act_generator_reference(c, g):

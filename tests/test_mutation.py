@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totpos import mutation
-from totpos.polygon import Triangulation, ChartPoint, chart_indices, flip_path
+from totpos.polygon import Triangulation, ChartPoint, chart_indices
 from totpos.mutation import (flip_transport, transport, MutationError, _flip,
                              _flip_program, _run_program)
 from totpos.cactus import _reversal_program
@@ -15,7 +15,7 @@ from totpos.flags import admissible_indices
 from totpos.reconstruct import (flags_to_charts, charts_to_flags,
                                 random_positive, random_chart_point)
 
-from conftest import random_triangulation, sharing_pairs, triangulations
+from conftest import flip_path, random_triangulation, sharing_pairs, triangulations
 
 
 def exchange(ab, cd, bc, ad, ac):
@@ -268,11 +268,11 @@ def test_transport_finds_no_quadrilateral_and_builds_no_triangulation(monkeypatc
     target = random_triangulation(10, 5)
     flips = len(flip_path(p.triangulation, target))
     calls = []
-    real_quadrilateral, real_of_chords = Triangulation.quadrilateral, Triangulation._of_chords
+    real_quadrilateral, real_of = Triangulation.quadrilateral, Triangulation._of
     monkeypatch.setattr(Triangulation, "quadrilateral",
                         lambda t, d: calls.append(d) or real_quadrilateral(t, d))
-    monkeypatch.setattr(Triangulation, "_of_chords", classmethod(
-        lambda cls, n, chords: calls.append(chords) or real_of_chords(n, chords)))
+    monkeypatch.setattr(Triangulation, "_of", classmethod(
+        lambda cls, n, diagonals: calls.append(diagonals) or real_of(n, diagonals)))
     transport(p, target)
     # the path hands over each quadrilateral, and the flips run on one dict
     assert flips and calls == []

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from totpos import polygon
 from totpos.polygon import (Triangulation, ChartPoint, chart_indices,
-                            chart_dimension, flip_path, glue_check,
+                            chart_dimension, glue_check,
                             edge_values, cyclic_interval, PolygonError)
 from totpos.flags import Configuration
 from totpos.reconstruct import flags_to_charts, random_positive, random_chart_point
 from totpos.mutation import transport, flip_transport, _flip_toward
-from totpos.cactus import IntervalGen, act_word, _with_chord
+from totpos.cactus import IntervalGen, act_word, _act_on_chart, _with_chord
+from totpos.axioms import relabel_chart
 
-from conftest import (beyond_reference, chords_cross, flip_quadrilaterals_reference,
+from conftest import (beyond_reference, chords_cross, flip_path, flip_quadrilaterals_reference,
                       random_triangulation, sharing_pairs, triangulations)
 
 
@@ -208,14 +209,19 @@ def _made_triangulations(n, seed):
     public = Triangulation(n, drawn.diagonals)
     d = min(public.diagonals)
     chord = cyclic_interval(2, n - 1, n)  # crosses the fan's diagonal (1, 3), n >= 5
+    # d crosses the diagonal that flipping d puts in, on a chart off the fan
+    flipped = random_chart_point(public.flip(d), 3, seed)
+    assert flipped.triangulation != Triangulation.fan(n)
+    rotation = tuple(range(2, n + 1)) + (1,)
     return [
         ("Triangulation", public),
-        ("_of", Triangulation._of(n, drawn.diagonals, polygon._faces(n, drawn.diagonals))),
-        ("_of_chords", Triangulation._of_chords(n, [(b, a) for a, b in drawn.diagonals])),
+        ("_of", Triangulation._of(n, drawn.diagonals)),
         ("fan", Triangulation.fan(n, seed % n + 1)),
         ("flip", public.flip(d)),
         ("flip_transport", flip_transport(random_chart_point(public, 3, seed), d).triangulation),
         ("_with_chord", _with_chord(random_chart_point(Triangulation.fan(n), 3, seed), chord)[0]),
+        ("_act_on_chart", _act_on_chart(flipped, IntervalGen(*d)).triangulation),
+        ("relabel_chart", relabel_chart(random_chart_point(public, 3, seed), rotation).triangulation),
     ]
 
 
@@ -223,9 +229,9 @@ def _made_triangulations(n, seed):
 def test_triangulations_hold_one_side_map_that_no_reader_changes(n):
     for seed in range(3):
         for name, t in _made_triangulations(n, seed):
-            held = polygon._beyond(t)
+            assert t.triangles() == Triangulation(n, t.diagonals).triangles(), name
+            held = t._beyond
             assert held == beyond_reference(t), name
-            assert polygon._beyond(t) is held, name
             before = dict(held)
             p = random_chart_point(t, 3, seed)
             other = random_triangulation(n, seed + 50)
@@ -234,7 +240,7 @@ def test_triangulations_hold_one_side_map_that_no_reader_changes(n):
                 t.quadrilateral(d)
             for apex in range(1, n + 1):
                 _flip_toward(p, {d for d in t.diagonals if apex not in d}, apex)
-            assert polygon._beyond(t) is held and held == before, name
+            assert t._beyond is held and held == before, name
             # equality and hashing read the diagonals, not the side map
             fresh = Triangulation(n, t.diagonals)
             assert fresh == t and t == fresh and hash(fresh) == hash(t), name
@@ -371,13 +377,15 @@ def test_flip_faces_match_the_public_constructor(t, data):
 
 
 def test_inconsistent_faces_raise_without_asserts(v_config):
-    # a trusted triangulation whose face list misses a face: the checks
-    # that remain on the flip path are raises, which python -O keeps
-    t = Triangulation._of(4, frozenset({(1, 3)}), [(1, 2, 3)])
-    with pytest.raises(PolygonError):
-        t.quadrilateral((1, 3))
-    with pytest.raises(PolygonError):
-        glue_check({(1, 2, 3): Configuration(v_config.flags[:3])}, t)
+    # trusted, crossing diagonals: three faces, and (2, 4) borders only
+    # one of them; the checks that remain on the flip path are raises,
+    # which python -O keeps
+    t = Triangulation._of(4, frozenset({(1, 3), (2, 4)}))
+    with pytest.raises(PolygonError, match="does not border two faces"):
+        t.quadrilateral((2, 4))
+    triangle = Configuration(v_config.flags[:3])
+    with pytest.raises(PolygonError, match="does not border two faces"):
+        glue_check(dict.fromkeys(t.triangles(), triangle), t)
 
 
 def test_chart_point_serialization_round_trip():
