@@ -33,9 +33,10 @@ triangle, with its edge values frozen, so each step reads its interior
 neighbours or, next to an edge, edge values.  Every step is subtraction
 free, so the result is positive by construction.  A configuration acts
 through its chart values on the fan at vertex 1: one that
-``charts_to_flags`` built holds them, and ``flags_to_charts`` reads them
-off any other.  It is rebuilt once on the way out; the rebuilt flags depend
-only on the point, not on its chart.
+``charts_to_flags`` built or a word returned holds them, and
+``flags_to_charts`` reads them off any other.  It comes back holding only
+the result's fan chart, and its flags are rebuilt from that chart on the
+first read; the rebuilt flags depend only on the point, not on its chart.
 
 The relation set (involutivity, disjoint commutation, nesting) is treated
 as a hypothesis: verify_relations samples random positive points, checks
@@ -46,10 +47,10 @@ counterexample.
 import random
 from functools import lru_cache
 
-from .flags import admissible_indices
+from .flags import Configuration, admissible_indices
 from .polygon import Triangulation, ChartPoint, cyclic_interval, PolygonError
 from .mutation import transport, _flip_toward, _run_program
-from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point
+from .reconstruct import charts_to_flags, flags_to_charts, random_chart_point, _to_fan
 
 
 class IntervalGen:
@@ -212,7 +213,8 @@ def act_generator(x, g):
 
     A chart point comes back as a chart point on its own triangulation with
     the chord {p, q} put in and the inside mirrored; a configuration comes
-    back as a configuration, rebuilt from that chart.
+    back as a configuration holding that point's fan chart, as
+    ``act_word`` returns it.
     """
     if isinstance(x, ChartPoint):
         return _act_on_chart(x, g)
@@ -222,13 +224,15 @@ def act_generator(x, g):
 def act_word(x, word):
     """Left-to-right composition of act_generator, returning the kind it
     was given.  A configuration acts through its chart values on the fan at
-    vertex 1: those charts_to_flags built it from, which it holds, or else
-    those flags_to_charts reads off it.  It is rebuilt once on the way out."""
+    vertex 1: those it holds, or else those flags_to_charts reads off it.
+    It comes back holding only the result's fan chart, reached by the walk
+    ``charts_to_flags`` starts with; its flags are rebuilt from that chart on
+    the first read, so a word acted on by the next word is never rebuilt."""
     if word and not isinstance(x, ChartPoint):
         p = x._fan
         if p is None:
             p = flags_to_charts(x, Triangulation.fan(x.n))
-        return charts_to_flags(act_word(p, word))
+        return Configuration._of_fan(_to_fan(act_word(p, word)))
     for g in word:
         x = act_generator(x, g)
     return x

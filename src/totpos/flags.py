@@ -205,14 +205,17 @@ class Configuration:
     the library's own readers, whose indices come from admissible_indices or
     chart_indices, call _delta and skip the check.
 
-    _fan is the chart point on the fan at vertex 1 that charts_to_flags
-    built the flags from, or None for flags from anywhere else.  Only
+    _fan is the chart point on the fan at vertex 1 that the flags are built
+    from, or None for flags from anywhere else; nothing writes it.  Only
     cactus.act_word reads it, in place of reading those values back; the
     memo never takes from it, so flags_to_charts still computes every
-    coordinate it returns.
+    coordinate it returns.  A configuration that cactus.act_word returns
+    holds only its fan chart: ``flags``, a read-only property over
+    ``_flags``, rebuilds them by charts_to_flags on the first read and keeps
+    them, so a word acted on by the next word is never rebuilt.
     """
 
-    __slots__ = ("m", "n", "flags", "_deltas", "_fan")
+    __slots__ = ("m", "n", "_flags", "_deltas", "_fan")
 
     def __init__(self, flags):
         flags = tuple(flags)
@@ -223,9 +226,26 @@ class Configuration:
             raise FlagError("all flags must share the same ambient dimension")
         self.m = m
         self.n = len(flags)
-        self.flags = flags
+        self._flags = flags
         self._deltas = {}
         self._fan = None
+
+    @classmethod
+    def _of_fan(cls, fan):
+        """The configuration of the fan chart point ``fan`` at vertex 1,
+        holding no flags until they are read."""
+        c = object.__new__(cls)
+        c.m, c.n, c._flags, c._deltas, c._fan = fan.m, fan.triangulation.n, None, {}, fan
+        return c
+
+    @property
+    def flags(self):
+        """The tuple of decorated flags, rebuilt from ``_fan`` on the first read
+        when none are held."""
+        if self._flags is None:
+            from .reconstruct import charts_to_flags  # reconstruct imports this module
+            self._flags = charts_to_flags(self._fan)._flags
+        return self._flags
 
     def __repr__(self):
         return "Configuration(n=%d, m=%d)" % (self.n, self.m)

@@ -60,14 +60,13 @@ def charts_to_flags(p):
 
     Exact round trip: flags_to_charts(charts_to_flags(p), p.triangulation)
     returns p value for value.  The point is read on the fan at vertex 1,
-    reached by ``_flip_toward`` vertex 1 on p's diagonals not at vertex 1,
-    so the representatives depend only on the point, and every chart of
-    one point rebuilds the same flags.  The configuration keeps that fan
-    chart point, on a copy of the values, as ``_fan``, for
+    reached by ``_to_fan``, so the representatives depend only on the
+    point, and every chart of one point rebuilds the same flags.  The
+    configuration keeps that fan chart point as ``_fan``, for
     ``cactus.act_word`` to act on.
     """
-    n, m = p.triangulation.n, p.m
-    values, _ = _flip_toward(p, {d for d in p.triangulation.diagonals if d[0] != 1}, 1)
+    fan = _to_fan(p)
+    n, m, values = fan.triangulation.n, fan.m, fan.values
     edge, ends, solves = _rebuild_plan(n, m)
     # vertex 2: antidiagonal int rows lam_j = s_j s_{j-1} a_j b_{j-1} /
     # (b_j a_{j-1}), from the {1, 2} edge values a_j / b_j and signs s_j
@@ -83,8 +82,16 @@ def charts_to_flags(p):
         known = _solve_flag(values, plan, known, m)
         flags.append(_completed(known, values[end]))
     c = Configuration(flags)
-    c._fan = ChartPoint._of(Triangulation.fan(n), m, values)
+    c._fan = fan
     return c
+
+
+def _to_fan(p):
+    """The chart point of p on the fan at vertex 1, on a copy of the values:
+    ``_flip_toward`` vertex 1 on p's diagonals not at vertex 1, with no flip
+    path planned."""
+    values, _ = _flip_toward(p, {d for d in p.triangulation.diagonals if d[0] != 1}, 1)
+    return ChartPoint._of(Triangulation.fan(p.triangulation.n), p.m, values)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from totpos.mutation import transport, _run_program
 from totpos.reconstruct import (random_positive, random_chart_point,
                                 charts_to_flags, flags_to_charts)
 import totpos.cactus as cactus_module
+import totpos.reconstruct as reconstruct
 import totpos.mutation as mutation
 import totpos.rational as rational
 
@@ -372,10 +373,13 @@ def test_chord_insertion_is_a_transport_to_a_triangulation_with_the_chord(case, 
 
 
 def _count_conversions(monkeypatch):
+    # the first read of a word's flags rebuilds them through the binding in
+    # reconstruct, so that one is counted beside cactus's own
     calls = []
-    for name in ("charts_to_flags", "flags_to_charts"):
-        real = getattr(cactus_module, name)
-        monkeypatch.setattr(cactus_module, name,
+    for module, name in ((cactus_module, "charts_to_flags"), (reconstruct, "charts_to_flags"),
+                         (cactus_module, "flags_to_charts")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))
     return calls
 
@@ -385,16 +389,22 @@ WORD = [IntervalGen(1, 3), IntervalGen(2, 5), IntervalGen(4, 1)]
 
 def test_rebuilt_configuration_word_acts_on_its_held_fan_chart(monkeypatch):
     # charts_to_flags keeps the fan chart it built the flags from, so the
-    # word reads no chart off the flags: it only rebuilds on the way out
+    # word reads no chart off the flags; the result holds its own fan chart
+    # and is rebuilt once, at the first read of its flags
     c = random_positive(6, 3, 11)
     calls = _count_conversions(monkeypatch)
     out = act_word(c, WORD)
     assert isinstance(out, Configuration)
+    assert calls == []
+    flags = out.flags
+    assert calls == ["charts_to_flags"]
+    assert out.flags is flags
     assert calls == ["charts_to_flags"]
 
 
 def test_configuration_word_is_converted_once_each_way(monkeypatch):
-    # flags with no held chart, as from JSON, are read once on the way in
+    # flags with no held chart, as from JSON, are read once on the way in,
+    # and the result is rebuilt once, at the first read of its flags
     c = random_positive(6, 3, 11)
     calls = _count_conversions(monkeypatch)
     for flags_only in (Configuration(c.flags), Configuration.from_json(c.to_json())):
@@ -402,7 +412,11 @@ def test_configuration_word_is_converted_once_each_way(monkeypatch):
         del calls[:]
         out = act_word(flags_only, WORD)
         assert isinstance(out, Configuration)
-        assert sorted(calls) == ["charts_to_flags", "flags_to_charts"]
+        assert calls == ["flags_to_charts"]
+        out.flags
+        assert calls == ["flags_to_charts", "charts_to_flags"]
+        out.flags
+        assert calls == ["flags_to_charts", "charts_to_flags"]
     assert act_word(c, []) is c
 
 
@@ -432,6 +446,40 @@ def test_held_fan_chart_acts_as_the_chart_read_off_the_flags(case):
     assert out._fan.values is not c._fan.values
 
 
+def _clearings(c):
+    return [(f._ints, f._scales) for f in c.flags]
+
+
+@settings(deadline=None, max_examples=20)
+@given(configurations_and_words())
+def test_word_result_reads_as_the_rebuild_of_its_fan_chart(case):
+    # a word's result holds only its fan chart; each reader below starts
+    # from no flags and sees what the eager rebuild of that chart gives
+    c, word = case
+    out = act_word(c, word)
+    assert out._flags is None and (out.n, out.m) == (c.n, c.m)
+    assert out._fan.triangulation == Triangulation.fan(c.n)
+    eager = charts_to_flags(out._fan)
+    assert _clearings(out) == _clearings(eager)
+    by_json, by_delta, left, right = (Configuration._of_fan(out._fan) for _ in range(4))
+    assert by_json.to_json() == eager.to_json()
+    assert all(by_delta.delta(idx) == eager.delta(idx) for idx in admissible_indices(c.n, c.m))
+    assert left.same_point(eager) and eager.same_point(right)
+    # a chain of words is rebuilt once, at the read; the reversed word
+    # gives back the start's flags, clearing for clearing
+    calls = []
+    real = reconstruct.charts_to_flags
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reconstruct, "charts_to_flags", lambda p: calls.append(p) or real(p))
+        patch.setattr(cactus_module, "charts_to_flags", reconstruct.charts_to_flags)
+        back = act_word(act_word(c, word), word[::-1])
+        assert calls == [] and back._flags is None
+        assert _clearings(back) == _clearings(c) and len(calls) == 1
+        back.flags
+        assert len(calls) == 1
+    assert act_word(c, []) is c
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(3, 9).flatmap(lambda n: st.tuples(triangulations(n), st.integers(1, n),
                                                      st.integers(2, n))),
@@ -458,19 +506,24 @@ def test_relations_hold_at_random_sizes(n, m, seed):
         assert r["passes"] == r["trials"], r
 
 
-def test_adapted_triangulations_match_the_public_constructor():
-    """The closed-form adapted triangulation of every interval has the
-    diagonals and the face list, in order, of the validated triangulation
-    on its chords: q to the interval, p to its complement."""
+def test_adapted_triangulations_have_the_closed_form_faces():
+    """The adapted triangulation of every interval [p..q] has, in ascending
+    order, the faces of the fan at q inside the interval, (q, u, w) for
+    consecutive u, w in [p..q-1], and of the fan at p outside it, (p, u, w)
+    for consecutive u, w in [q..p-1]; its diagonals are their sides that are
+    not polygon edges."""
     for n in range(3, 13):
+        edges = {tuple(sorted((v, v % n + 1))) for v in range(1, n + 1)}
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 if p == q:
                     continue
                 iv = cyclic_interval(p, q, n)
+                faces = sorted(tuple(sorted((apex, u, w)))
+                               for apex, side in ((q, iv), (p, cyclic_interval(q, p, n)))
+                               for u, w in zip(side, side[1:-1]))
                 t = _adapted_triangulation(n, iv)
-                chords = [(q, v) for v in iv] + [(p, v) for v in cyclic_interval(q, p, n)]
-                public = Triangulation(n, {tuple(sorted(c)) for c in chords
-                                           if (c[0] - c[1]) % n not in (0, 1, n - 1)})
-                assert t.diagonals == public.diagonals
-                assert t.triangles() == public.triangles()
+                assert len(faces) == n - 2
+                assert t.triangles() == faces
+                assert t.diagonals == {s for a, b, c in faces
+                                       for s in ((a, b), (a, c), (b, c))} - edges
