@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import totpos
+import totpos.cli
 from totpos.rational import (Mat, scalar, scalar_str, SingularMatrixError, _bareiss,
                              _clear_ratio, _clear_row, _integer_clearing, _prefix_scales)
 from totpos.flags import (DecoratedFlag, Configuration, FlagError, NotGenericError,
@@ -526,6 +528,18 @@ def sharing_pairs(draw, n):
 
 # The directory holding the `totpos` package this test process imported.
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(totpos.__file__)))
+
+
+def run_cli(argv, stdin=""):
+    """Run the CLI in process, capturing stdout."""
+    old_in, old_out = sys.stdin, sys.stdout
+    sys.stdin = io.StringIO(stdin)
+    sys.stdout = io.StringIO()
+    try:
+        code = totpos.cli.run(argv)
+        return code, sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = old_in, old_out
 
 
 def run_totpos(args, stdin="", python_flags=()):

@@ -1,9 +1,7 @@
 import hashlib
-import io
 import json
 import math
 import os
-import sys
 import time
 from fractions import Fraction
 
@@ -16,21 +14,9 @@ import totpos.polygon as polygon
 from totpos.flags import Configuration, DecoratedFlag
 from totpos.rational import DigitLimitError
 
-from conftest import run_totpos
+from conftest import run_cli, run_totpos
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def run_cli(argv, stdin=""):
-    """Run the CLI in process, capturing stdout."""
-    old_in, old_out = sys.stdin, sys.stdout
-    sys.stdin = io.StringIO(stdin)
-    sys.stdout = io.StringIO()
-    try:
-        code = cli.run(argv)
-        return code, sys.stdout.getvalue()
-    finally:
-        sys.stdin, sys.stdout = old_in, old_out
 
 
 def _exits_two(capsys, argv, stdin=""):
@@ -710,3 +696,11 @@ def test_sizes_too_large_to_enumerate_exit_two(capsys, args):
     err = capsys.readouterr().err
     assert "too many chart coordinates" in json.loads(err)["error"]
     assert len(err.encode()) < 200
+
+
+def test_the_wide_module_imports():
+    # tests/wide.py, the checks at sizes Tier-1 does not reach, runs only
+    # when named on the command line: importing it here fails Tier-1 at once
+    # when a helper it imports is renamed
+    import wide
+    assert any(name.startswith("test_") and callable(f) for name, f in vars(wide).items())
