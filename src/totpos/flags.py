@@ -206,13 +206,13 @@ class Configuration:
     chart_indices, call _delta and skip the check.
 
     _fan is the chart point on the fan at vertex 1 that the flags are built
-    from, or None for flags from anywhere else; nothing writes it.  Only
-    cactus.act_word reads it, in place of reading those values back; the
-    memo never takes from it, so flags_to_charts still computes every
-    coordinate it returns.  A configuration that cactus.act_word returns
-    holds only its fan chart: ``flags``, a read-only property over
-    ``_flags``, rebuilds them by charts_to_flags on the first read and keeps
-    them, so a word acted on by the next word is never rebuilt.
+    from, or None for flags from anywhere else; only __init__ (None) and
+    _of_fan write it.  Only cactus.act_word reads it, in place of reading
+    those values back; the memo never takes from it, so flags_to_charts
+    still computes every coordinate it returns.  A configuration that
+    cactus.act_word returns holds only its fan chart: ``flags``, a read-only
+    property over ``_flags``, rebuilds them by charts_to_flags on the first
+    read and keeps them, so a word acted on by the next word is never rebuilt.
     """
 
     __slots__ = ("m", "n", "_flags", "_deltas", "_fan")
@@ -231,11 +231,11 @@ class Configuration:
         self._fan = None
 
     @classmethod
-    def _of_fan(cls, fan):
-        """The configuration of the fan chart point ``fan`` at vertex 1,
-        holding no flags until they are read."""
+    def _of_fan(cls, fan, flags=None):
+        """The configuration of the fan chart point ``fan`` at vertex 1, holding
+        ``flags``, which charts_to_flags builds from it, or none until read."""
         c = object.__new__(cls)
-        c.m, c.n, c._flags, c._deltas, c._fan = fan.m, fan.triangulation.n, None, {}, fan
+        c.m, c.n, c._flags, c._deltas, c._fan = fan.m, fan.triangulation.n, flags, {}, fan
         return c
 
     @property

@@ -1,7 +1,7 @@
 """Combinatorics of the labeled n-gon: triangulations, flips, charts.
 
-Vertices are labeled 1..n counterclockwise.  ``cyclic_interval`` walks the
-labels here; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
+Vertices are labeled 1..n counterclockwise.  ``cyclic_interval`` lists [p..q]
+in closed form; ``cactus`` does its own ``% n + 1`` for mirrors and intervals.
 A triangulation is built from its diagonals alone, checked by the
 constructor or trusted by ``Triangulation._of``; both derive its faces and
 its side map in ``_wrap``, the one place that says how faces follow from
@@ -20,13 +20,8 @@ class PolygonError(ValueError):
 
 
 def cyclic_interval(p, q, n):
-    """Vertex labels of the cyclic interval [p..q], walking forward from p."""
-    out = [p]
-    while out[-1] != q:
-        out.append(out[-1] % n + 1)
-        if len(out) > n:
-            raise PolygonError("bad interval [%d..%d] for n = %d" % (p, q, n))
-    return out
+    """Vertex labels of the cyclic interval [p..q] of 1..n, forward from p."""
+    return [(p + k - 1) % n + 1 for k in range((q - p) % n + 1)]
 
 
 class Triangulation:

@@ -61,9 +61,8 @@ def charts_to_flags(p):
     Exact round trip: flags_to_charts(charts_to_flags(p), p.triangulation)
     returns p value for value.  The point is read on the fan at vertex 1,
     reached by ``_to_fan``, so the representatives depend only on the
-    point, and every chart of one point rebuilds the same flags.  The
-    configuration keeps that fan chart point as ``_fan``, for
-    ``cactus.act_word`` to act on.
+    point, and every chart of one point rebuilds the same flags, wrapped by
+    ``Configuration._of_fan`` with that fan chart, which cactus.act_word acts on.
     """
     fan = _to_fan(p)
     n, m, values = fan.triangulation.n, fan.m, fan.values
@@ -81,9 +80,7 @@ def charts_to_flags(p):
     for plan, end in zip(solves, ends[1:]):
         known = _solve_flag(values, plan, known, m)
         flags.append(_completed(known, values[end]))
-    c = Configuration(flags)
-    c._fan = fan
-    return c
+    return Configuration._of_fan(fan, tuple(flags))
 
 
 def _to_fan(p):

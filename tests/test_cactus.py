@@ -81,6 +81,9 @@ def test_interval_gen_validation():
             IntervalGen(p, q)
     g = IntervalGen(5, 2)
     assert g.interval(6) == [5, 6, 1, 2]
+    # a generator equals the generator of the same ends, in order, and
+    # nothing else
+    assert g == IntervalGen(5, 2) and g != IntervalGen(2, 5) and g != (5, 2)
     with pytest.raises(PolygonError):
         g.interval(4)
 

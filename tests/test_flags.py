@@ -207,6 +207,7 @@ def test_flag_paths_never_form_the_fraction_representative(monkeypatch):
     assert f.orthogonal().orthogonal()._det == 1
     assert (moved._ints, moved._scales, moved._det) == (f._ints, f._scales, f._det)
     assert moved == f and hash(moved) == hash(f) and moved != a.flags[3]
+    assert f != f._ints  # a flag equals no other kind of object
     assert len({*a.flags, *b.flags, moved}) == a.n
     assert [a.to_json(), reverse(b).to_json()] == written
     assert a.same_point(b)
@@ -536,6 +537,9 @@ def test_all_deltas_unchanged_by_same_point_and_by_callers():
     other = random_positive(4, 3, 6)
     before = {idx: stacked_det(c, idx) for idx in admissible_indices(4, 3)}
     assert c.same_point(c) and not c.same_point(other)
+    # configurations of another n or m are never the same point
+    assert not c.same_point(random_positive(5, 3, 5))
+    assert not c.same_point(random_positive(4, 2, 5))
     assert c.all_deltas() == before
     returned = c.all_deltas()
     returned[next(iter(returned))] = Fraction(0)

@@ -434,5 +434,10 @@ def test_edge_values_and_glue(v_config):
 def test_glue_check_validates_assignment(v_config):
     t = Triangulation(4, [(1, 3)])
     tri1, tri2 = t.triangles()
+    triangle = Configuration(v_config.flags[:3])
     with pytest.raises(PolygonError):
-        glue_check({tri1: Configuration(v_config.flags[:3])}, t)
+        glue_check({tri1: triangle}, t)
+    # every triangle needs an n = 3 configuration of the first one's m
+    for other in (v_config, random_positive(3, 3, 1)):
+        with pytest.raises(PolygonError, match="n=3 configuration of matching m"):
+            glue_check({tri1: triangle, tri2: other}, t)

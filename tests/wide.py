@@ -182,8 +182,9 @@ def test_canonical_representative(seed):
 # every flag also stored its Fraction rows, on each Python; the fourth pin
 # is act on a chart off the fan, chart in and chart out, with no flag
 # formed; the next two cover a triangle and a quadrilateral, the sizes the
-# axiom harness rebuilds at; the last two are gen at (12, 7) above and the
-# two-digit chart keys below
+# axiom harness rebuilds at; the next two are gen at (12, 7) above and the
+# two-digit chart keys below; the last two are the relation harness at CI's
+# sizes, whose reports compare both sides of each relation on the fan at 1
 @pytest.mark.parametrize("pipeline, digest", [
     ("gen 10 6 --seed 5", "7c0b7a9d79170ba886c8d511b0c4be73"),
     ("gen 9 4 --seed 8 | act - --word [[2,7],[8,3]]", "6fb5550aa3362883f7817b60ff9dae03"),
@@ -194,6 +195,8 @@ def test_canonical_representative(seed):
     ("gen 4 6 --seed 2", "ba7c8f8c12d39fa0276b1059f45db1ce"),
     ("gen 12 7 --seed 4", "75b295e2bf2a6ff59eac1967dd277fc8"),
     ("gen 6 11 --seed 2 | charts -", "0bdb83ca5b0fb4f3277e89d1495426e5"),
+    ("verify-cactus --n 12 --m 6 --trials 10", "af4c7d19466ae6b7ed142221b0ab6662"),
+    ("verify-cactus --n 7 --m 4 --trials 2", "a5eb1b51885a9521c79107afa4f906af"),
 ])
 def test_stdout_digest(pipeline, digest):
     assert hashlib.md5(pipe(pipeline).encode()).hexdigest() == digest
